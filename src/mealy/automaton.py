@@ -12,7 +12,7 @@ tau-tilde action on state words (rightmost letter acted first).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class Automaton:
     output-letter index.
     """
 
-    __slots__ = ("states", "alphabet", "t", "o", "name", "_sidx", "_aidx", "_inv_out", "_hash")
+    __slots__ = ("states", "alphabet", "t", "o", "name", "_sidx", "_aidx", "_inv_out", "_steps", "_hash")
 
     def __init__(
         self,
@@ -75,6 +75,7 @@ class Automaton:
         self.o = o
         self.name = name
         self._inv_out = None
+        self._steps = None
         self._hash = None
 
     # -- basic access ------------------------------------------------------
@@ -121,6 +122,23 @@ class Automaton:
             inv.setflags(write=False)
             self._inv_out = inv
         return self._inv_out
+
+    def step_table(self) -> list[list[tuple[int, int]]]:
+        """Signed step table: steps[row][x] = (output letter, next row).
+
+        Rows 0..|Q|-1 are the states.  An invertible automaton also has rows
+        |Q|..2|Q|-1 for the inverse states q', whose entries lead to the row
+        of the next inverse state, so a walk never tests a sign.
+        """
+        if self._steps is None:
+            nq = self.n_states
+            o, t = self.o.tolist(), self.t.tolist()
+            steps = [list(zip(o[q], t[q])) for q in range(nq)]
+            if self.is_invertible():
+                inv = self.inv_out().tolist()
+                steps += [[(x, t[q][x] + nq) for x in inv[q]] for q in range(nq)]
+            self._steps = steps
+        return self._steps
 
     def table_key(self) -> tuple:
         return (self.states, self.alphabet, self.t.tobytes(), self.o.tobytes())
@@ -179,18 +197,6 @@ class Automaton:
         if len(tr) != len(states) * len(alphabet):
             raise ValueError("missing table rows")
         return cls(states, alphabet, tr, out, name=name)
-
-    def to_dot(self) -> str:
-        lines = [f'digraph "{self.name or "mealy"}" {{']
-        for q in self.states:
-            lines.append(f'  "{q}";')
-        for qi, q in enumerate(self.states):
-            for xi, x in enumerate(self.alphabet):
-                y = self.alphabet[self.o[qi, xi]]
-                r = self.states[self.t[qi, xi]]
-                lines.append(f'  "{q}" -> "{r}" [label="{x}|{y}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 # -- built-in automata -----------------------------------------------------
@@ -296,38 +302,35 @@ def builtin(name: str) -> Automaton:
 
 # -- predicates ------------------------------------------------------------
 
-def _perm_group_is_full_cycle(perms: list[tuple[int, ...]], n: int) -> bool:
-    """Whether <perms> is exactly the cyclic group of one full n-cycle."""
-    if n == 1:
-        return True
+def _least_full_cycle(perms, n: int) -> tuple[int, ...] | None:
+    """The lexicographically least full n-cycle of <perms>, when <perms> is
+    exactly the cyclic group of one full n-cycle; None otherwise."""
     ident = tuple(range(n))
-    seen = {ident}
+    group = {ident}
     frontier = [ident]
-    gens = [tuple(p) for p in perms]
     while frontier:
-        if len(seen) > n:
-            return False
+        if len(group) > n:
+            return None
         nxt = []
         for g in frontier:
-            for p in gens:
+            for p in perms:
                 h = tuple(p[g[i]] for i in range(n))
-                if h not in seen:
-                    seen.add(h)
+                if h not in group:
+                    group.add(h)
                     nxt.append(h)
         frontier = nxt
-    if len(seen) != n:
-        return False
-    return any(_is_full_cycle(g) for g in seen)
+    if len(group) != n:
+        return None
+    return min((g for g in group if _is_full_cycle(g)), default=None)
 
 
 def _is_full_cycle(perm: tuple[int, ...]) -> bool:
-    n = len(perm)
-    v, count = 0, 0
-    while True:
+    v, n = 0, len(perm)
+    for count in range(1, n + 1):
         v = perm[v]
-        count += 1
         if v == 0:
             return count == n
+    return False
 
 
 class Properties:
@@ -351,8 +354,7 @@ class Properties:
 def _is_cyclic(M: Automaton) -> bool:
     if not M.is_invertible():
         return False
-    perms = [tuple(int(v) for v in M.o[q]) for q in range(M.n_states)]
-    return _perm_group_is_full_cycle(perms, M.n_letters)
+    return _least_full_cycle(M.o.tolist(), M.n_letters) is not None
 
 
 def properties(M: Automaton) -> Properties:
@@ -458,23 +460,17 @@ def _signed_letters(M: Automaton, w) -> list[tuple[int, int]]:
         if w in M._sidx:
             return [(M._sidx[w], 1)]
         if w.endswith("'") and w[:-1] in M._sidx:
-            M.inv_out()
             return [(M._sidx[w[:-1]], -1)]
-    gw = GroupWord.of(w)
-    out = []
-    for q, s in gw.letters:
-        out.append((M.state_index(q), s))
-        if s < 0:
-            M.inv_out()  # raises if not invertible
-    return out
+    return [(M.state_index(q), s) for q, s in GroupWord.of(w).letters]
 
 
-def _step_signed(M: Automaton, qi: int, sign: int, xi: int) -> tuple[int, int]:
-    """One step of state qi (or its inverse) on input letter index xi."""
-    if sign > 0:
-        return int(M.o[qi, xi]), int(M.t[qi, xi])
-    x0 = int(M.inv_out()[qi, xi])
-    return x0, int(M.t[qi, x0])
+def _rows(M: Automaton, w) -> list[int]:
+    """Step-table rows of the letters of w, leftmost first."""
+    nq = M.n_states
+    rows = [qi if s > 0 else qi + nq for qi, s in _signed_letters(M, w)]
+    if rows and max(rows) >= len(M.step_table()):
+        raise ValueError("automaton is not invertible")
+    return rows
 
 
 def act(M: Automaton, w, s):
@@ -483,13 +479,11 @@ def act(M: Automaton, w, s):
     Length preserving; act(uv, s) = act(u, act(v, s)).  Inverse letters
     require M invertible.
     """
-    letters = coerce_symbols(s)
-    idx = [M.letter_index(x) for x in letters]
-    for qi, sign in reversed(_signed_letters(M, w)):
-        cur = qi
+    idx = [M.letter_index(x) for x in coerce_symbols(s)]
+    steps = M.step_table()
+    for row in reversed(_rows(M, w)):
         for i, xi in enumerate(idx):
-            y, cur = _step_signed(M, cur, sign, xi)
-            idx[i] = y
+            idx[i], row = steps[row][xi]
     return format_symbols([M.alphabet[i] for i in idx], s)
 
 
@@ -500,13 +494,12 @@ def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWor
     take finitely many values, so the output stream is detected by cycle
     detection and returned in canonical form.
     """
-    sig = _signed_letters(M, w)
-    states = [qi for qi, _ in sig]
-    signs = [sg for _, sg in sig]
+    rows = _rows(M, w)
+    steps = M.step_table()
 
     def feed(xi: int) -> int:
-        for j in range(len(states) - 1, -1, -1):
-            xi, states[j] = _step_signed(M, states[j], signs[j], xi)
+        for j in range(len(rows) - 1, -1, -1):
+            xi, rows[j] = steps[rows[j]][xi]
         return xi
 
     out: list[str] = []
@@ -516,7 +509,7 @@ def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWor
     seen: dict[tuple, int] = {}
     pos = 0
     while True:
-        key = (tuple(states), pos)
+        key = (tuple(rows), pos)
         if key in seen:
             start = seen[key]
             return EventuallyPeriodicWord(out[:start], out[start:])
@@ -533,12 +526,11 @@ def dual_act(M: Automaton, v, s):
     letter by letter in reading order.
     """
     word = [M.state_index(q) for q in coerce_symbols(v)]
+    steps = M.step_table()
     for x in coerce_symbols(s):
         xi = M.letter_index(x)
         for j in range(len(word) - 1, -1, -1):
-            q = word[j]
-            word[j] = int(M.t[q, xi])
-            xi = int(M.o[q, xi])
+            xi, word[j] = steps[word[j]][xi]
     return format_symbols([M.states[q] for q in word], v)
 
 
@@ -549,19 +541,15 @@ def group_section(M: Automaton, w, s) -> GroupWord:
     For positive words this agrees with dual_act; inverse letters use
     (g^{-1})|_s = (g|_{act(g^{-1}, s)})^{-1}.
     """
-    letters = list(_signed_letters(M, GroupWord.of(w)))
+    rows = _rows(M, GroupWord.of(w))
+    steps, nq = M.step_table(), M.n_states
     cur = [M.letter_index(x) for x in coerce_symbols(s)]
-    sections: list[tuple[str, int]] = [("", 0)] * len(letters)
-    for j in range(len(letters) - 1, -1, -1):
-        qi, sign = letters[j]
-        state = qi
-        nxt = []
-        for xi in cur:
-            y, state2 = _step_signed(M, state, sign, xi)
-            nxt.append(y)
-            state = state2
-        sections[j] = (M.states[state], sign)
-        cur = nxt
+    sections: list[tuple[str, int]] = [("", 0)] * len(rows)
+    for j in range(len(rows) - 1, -1, -1):
+        row = rows[j]
+        for i, xi in enumerate(cur):
+            cur[i], row = steps[row][xi]
+        sections[j] = (M.states[row % nq], 1 if row < nq else -1)
     return GroupWord(sections)
 
 
@@ -583,12 +571,12 @@ def product(parts: Sequence[tuple[Automaton, "GroupWord | str"]]) -> tuple[Autom
     for M in machines[1:]:
         if M.alphabet != alphabet:
             raise ValueError("product needs one common alphabet")
-    # flatten to a stack of (machine index, state index, sign), rightmost first
-    stack: list[tuple[int, int, int]] = []
+    # flatten to a stack of (machine index, step-table row), rightmost first
+    stack: list[tuple[int, int]] = []
     for mi in range(len(parts) - 1, -1, -1):
-        M, w = machines[mi], GroupWord.of(parts[mi][1])
-        for qi, sign in reversed(_signed_letters(M, w)):
-            stack.append((mi, qi, sign))
+        rows = _rows(machines[mi], GroupWord.of(parts[mi][1]))
+        stack.extend((mi, row) for row in reversed(rows))
+    tables = [M.step_table() for M in machines]
     start = tuple(stack)
     na = len(alphabet)
 
@@ -604,9 +592,9 @@ def product(parts: Sequence[tuple[Automaton, "GroupWord | str"]]) -> tuple[Autom
         for xi in range(na):
             cur = xi
             nxt = []
-            for mi, qi, sign in node:
-                cur, q2 = _step_signed(machines[mi], qi, sign, cur)
-                nxt.append((mi, q2, sign))
+            for mi, row in node:
+                cur, row = tables[mi][row][cur]
+                nxt.append((mi, row))
             child = tuple(nxt)
             if child not in index:
                 index[child] = len(order)

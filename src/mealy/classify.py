@@ -221,11 +221,6 @@ def enumerate_classes(
         yield M
 
 
-# spec name for the stream; the builtin is shadowed inside this module on
-# purpose, so index loops above use range() instead
-enumerate = enumerate_classes
-
-
 def conjugation_decide(M: Automaton) -> dict | None:
     """Decide transitivity of a dual state by conjugating into a cyclic machine.
 

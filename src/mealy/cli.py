@@ -5,7 +5,8 @@ table to stdout, and mirrors any file output (CSV, JSON, DOT, dat) with a
 .manifest.json recording the exact invocation, so a run can be reproduced
 from its artifacts alone.
 
-Exit codes: 0 success, 1 a verification target failed, 2 usage error.
+Exit codes: 0 success, 1 a verification target failed, 2 usage error
+(including a request above a library size cap).
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -41,18 +41,18 @@ def index_word(M: Automaton, v: int, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
-    """Array L with L[q][v] = index of act(q, word v) on level n.
+def _levels(M: Automaton, n: int, cap: int):
+    """Level maps for levels 0..n in turn, each built from the one before.
 
-    Works for non-invertible automata too (rows are then not permutations).
-    Shape (|Q|, a^n).
+    Every level uses the dtype of level n.  Only the level being built and
+    the one before it are held here.
     """
     a, nq = M.n_letters, M.n_states
-    size = a**n
-    if size > cap:
+    if a**n > cap:
         raise MemoryError(f"level size {a}^{n} exceeds cap {cap}")
-    dt = _dtype_for(size)
+    dt = _dtype_for(a**n)
     P = np.zeros((nq, 1), dtype=dt)
+    yield P
     o = M.o.astype(dt)
     t = M.t
     for k in range(1, n + 1):
@@ -61,26 +61,23 @@ def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
             for x in range(a):
                 new[q, x::a] = o[q, x] + a * P[t[q, x]]
         P = new
+        yield P
+
+
+def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
+    """Array L with L[q][v] = index of act(q, word v) on level n.
+
+    Works for non-invertible automata too (rows are then not permutations).
+    Shape (|Q|, a^n).
+    """
+    for P in _levels(M, n, cap):
+        pass
     return P
 
 
 def all_level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> list[np.ndarray]:
     """level_maps for every level 0..n, cheapest-first (one recursion pass)."""
-    a, nq = M.n_letters, M.n_states
-    if a**n > cap:
-        raise MemoryError(f"level size {a}^{n} exceeds cap {cap}")
-    dt = _dtype_for(a**n)
-    out = [np.zeros((nq, 1), dtype=dt)]
-    o = M.o.astype(dt)
-    t = M.t
-    for k in range(1, n + 1):
-        prev = out[-1]
-        new = np.empty((nq, a**k), dtype=dt)
-        for q in range(nq):
-            for x in range(a):
-                new[q, x::a] = o[q, x] + a * prev[t[q, x]]
-        out.append(new)
-    return out
+    return list(_levels(M, n, cap))
 
 
 def invert_perm(p: np.ndarray) -> np.ndarray:

@@ -199,9 +199,6 @@ def solve_linear(A: list[list[RationalSeries]], b: list[RationalSeries]) -> list
     return [M[i][n] for i in range(n)]
 
 
-ONE_MINUS_T = {p: Poly([1, p - 1], p) for p in (2, 3, 5, 7)}
-
-
 def one_over_one_minus_t(p: int) -> RationalSeries:
     return RationalSeries(Poly([1], p), Poly([1, p - 1], p))
 

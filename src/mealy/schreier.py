@@ -11,28 +11,13 @@ x^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
-from .automaton import Automaton, act, act_inf, group_section, _signed_letters, _step_signed
+from .automaton import Automaton, act, act_inf, group_section
 from .levels import LEVEL_CAP, invert_perm, level_maps
 from .words import EventuallyPeriodicWord, GroupWord
 
 EXACT_DIAMETER_CAP = 1 << 14
-
-
-@dataclass
-class ExperimentConfig:
-    """Reporting parameters for growth experiments."""
-
-    radius: int = 8
-    depth: int | None = None  # default 2 * radius
-    witness_budget: int = 16
-    growth_K: float = 2.0
-    growth_alpha: float = 1.0
-    seed: int = 0
 
 
 class SchreierGraph:
@@ -153,14 +138,14 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
 # -- implicit word walks ------------------------------------------------------
 
 
-def _act_index(M: Automaton, qi: int, sign: int, v: int, n: int) -> int:
-    """Image of the index-coded word v (length n) under one signed state."""
+def _act_index(M: Automaton, row: int, v: int, n: int) -> int:
+    """Image of the index-coded word v (length n) under one step-table row."""
     a = M.n_letters
+    steps = M.step_table()
     out = 0
     mult = 1
-    cur = qi
     for _ in range(n):
-        y, cur = _step_signed(M, cur, sign, v % a)
+        y, row = steps[row][v % a]
         out += y * mult
         v //= a
         mult *= a
@@ -181,14 +166,13 @@ def ball_size(M: Automaton, x: str, r: int, L: int | None = None) -> int:
     a = M.n_letters
     xi = M.letter_index(x)
     v0 = sum(xi * a**i for i in range(L))
-    gens = [(qi, s) for qi in range(M.n_states) for s in (1, -1)]
     seen = {v0}
     frontier = [v0]
     for _ in range(r):
         nxt = []
         for v in frontier:
-            for qi, s in gens:
-                w = _act_index(M, qi, s, v, L)
+            for row in range(2 * M.n_states):
+                w = _act_index(M, row, v, L)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -243,7 +227,10 @@ def find_level_witness(
                 return w
         raise WitnessNotFound(0, budget)
 
-    gens = [(qi, s) for qi in range(M.n_states) for s in (1, -1)]
+    nq = M.n_states
+    # (row, letter) per generator; each state then its inverse, an order
+    # that decides which witness the search returns
+    gens = [(qi + off, (q, s)) for qi, q in enumerate(M.states) for s, off in ((1, 0), (-1, nq))]
     words: dict[int, tuple] = {v0: ()}  # image -> letter tuple, rightmost first
     by_prefix: dict[int, int] = {v0 % mod: v0}
     frontier = [v0]
@@ -251,11 +238,11 @@ def find_level_witness(
         nxt = []
         for v in frontier:
             wv = words[v]
-            for qi, s in gens:
-                u = _act_index(M, qi, s, v, L)
+            for row, letter in gens:
+                u = _act_index(M, row, v, L)
                 if u in words:
                     continue
-                wu = wv + ((M.states[qi], s),)
+                wu = wv + (letter,)
                 words[u] = wu
                 pref = u % mod
                 other = by_prefix.get(pref)
@@ -288,7 +275,8 @@ def first_divergence(M: Automaton, w: GroupWord, x: str, cap: int = 4096) -> int
     return None
 
 
-_cycler_cache: dict[tuple, GroupWord] = {}
+_CYCLER_CACHE_SIZE = 256
+_cycler_cache: dict[tuple, GroupWord] = {}  # oldest entry evicted first
 
 
 def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> GroupWord:
@@ -298,11 +286,11 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
     if u fixes x^k and moves position k, its section at x^{k-m} fixes x^m
     and moves position m.
     """
-    key = (M, x, m)
+    budget = budget if budget is not None else max(2 * (m + 1), 8)
+    key = (M, x, m, budget)
     got = _cycler_cache.get(key)
     if got is not None:
         return got
-    budget = budget if budget is not None else max(2 * (m + 1), 8)
     u = find_level_witness(M, x, m, budget)
     k = first_divergence(M, u, x)
     assert k is not None and k >= m, "witness contract violated"
@@ -310,6 +298,8 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
     if k > m:
         w = group_section(M, u, (x,) * (k - m)).reduce()
         assert first_divergence(M, w, x) == m
+    if len(_cycler_cache) >= _CYCLER_CACHE_SIZE:
+        del _cycler_cache[next(iter(_cycler_cache))]
     _cycler_cache[key] = w
     return w
 
@@ -356,6 +346,9 @@ class LiftReport:
         self.rules = rules
         self.counterexample = counterexample
         self.max_level = max_level
+
+    def __bool__(self) -> bool:
+        return self.ok
 
     def __repr__(self) -> str:
         return f"LiftReport(ok={self.ok}, rules={self.rules})"
@@ -408,7 +401,7 @@ def verify_lift(M: Automaton, n: int) -> LiftReport:
         arr = np.empty((M.n_states, size), dtype=np.int64)
         for qi in range(M.n_states):
             for v in range(size):
-                arr[qi, v] = _act_index(M, qi, 1, v, k)
+                arr[qi, v] = _act_index(M, qi, v, k)
         by_walk.append(arr)
     counter = None
     for k in range(n):
@@ -427,15 +420,3 @@ def verify_lift(M: Automaton, n: int) -> LiftReport:
                     return LiftReport(False, lift_rules(M), counter, n)
     return LiftReport(True, lift_rules(M), None, n)
 
-
-BELLATERRA_LIFT_RULES = {
-    "a": (("c", "c"), True),
-    "b": (("a", "b"), False),
-    "c": (("b", "a"), False),
-}
-
-ALESHIN_LIFT_RULES = {
-    "a": (("c", "c"), False),
-    "b": (("a", "b"), True),
-    "c": (("b", "a"), True),
-}

@@ -15,11 +15,11 @@ trajectory is eventually periodic inside Z_m^{|Q|}.
 from __future__ import annotations
 
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .automaton import Automaton, dual, dual_act, group_section, act
+from .automaton import Automaton, _is_cyclic, _least_full_cycle, act, dual, dual_act, group_section
 from .levels import (
     LEVEL_CAP,
     has_spanning_orbit,
@@ -128,25 +128,6 @@ def orbits_on_level(
     return OrbitReport(n, sizes, np.asarray(reps), transitive, in_domain, M.alphabet)
 
 
-def reduced_word(word: Sequence[str]) -> bool:
-    """No two adjacent equal symbols."""
-    return all(word[i] != word[i + 1] for i in range(len(word) - 1))
-
-
-def reduced_ending_in(allowed: Sequence[str]) -> Callable[[tuple[str, ...]], bool]:
-    allowed_set = frozenset(allowed)
-    def pred(word: tuple[str, ...]) -> bool:
-        return bool(word) and reduced_word(word) and word[-1] in allowed_set
-    return pred
-
-
-def reduced_beginning_in(allowed: Sequence[str]) -> Callable[[tuple[str, ...]], bool]:
-    allowed_set = frozenset(allowed)
-    def pred(word: tuple[str, ...]) -> bool:
-        return bool(word) and reduced_word(word) and word[0] in allowed_set
-    return pred
-
-
 # -- characteristic series ---------------------------------------------------
 
 
@@ -174,38 +155,15 @@ def _reference_cycle(M: Automaton) -> tuple[np.ndarray, dict[bytes, int]]:
     """The lexicographically least full |A|-cycle in <sigma_q>, with the
     exponent table mapping each sigma_q-realizable permutation to k."""
     m = M.n_letters
-    perms = {tuple(int(v) for v in M.o[q]) for q in range(M.n_states)}
-    # close under composition to get the whole (cyclic) group
-    group = {tuple(range(m))}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for p in perms:
-                h = tuple(p[g[i]] for i in range(m))
-                if h not in group:
-                    group.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    full_cycles = sorted(g for g in group if _full_cycle(g))
-    if not full_cycles:
+    rho = _least_full_cycle(M.o.tolist(), m)
+    if rho is None:
         raise ValueError("not a cyclic automaton: no full cycle among the outputs")
-    rho = full_cycles[0]
     table: dict[bytes, int] = {}
     cur = tuple(range(m))
-    for k in range(len(group)):
+    for k in range(m):
         table[bytes(cur)] = k
         cur = tuple(rho[cur[i]] for i in range(m))
     return np.asarray(rho), table
-
-
-def _full_cycle(perm: tuple[int, ...]) -> bool:
-    v, n = 0, len(perm)
-    for count in range(1, n + 1):
-        v = perm[v]
-        if v == 0:
-            return count == n
-    return False
 
 
 def _exponents(M: Automaton) -> np.ndarray:
@@ -221,8 +179,6 @@ def _exponents(M: Automaton) -> np.ndarray:
 
 
 def _require_cyclic(M: Automaton) -> None:
-    from .automaton import _is_cyclic
-
     if not _is_cyclic(M):
         raise ValueError("characteristic series needs a cyclic automaton")
 
@@ -393,8 +349,6 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     if not M.is_invertible():
         raise ValueError("cotransitivity assumes an invertible automaton")
     D = dual(M)
-    from .automaton import _is_cyclic
-
     if _is_cyclic(D):
         evidence = {}
         for x in D.states:

@@ -216,3 +216,48 @@ def test_group_section_with_inverses(s):
     t = "010"
     lhs = act(B, w, s + t)
     assert lhs[len(s):] == act(B, group_section(B, w, s), t)
+
+
+def _check_step_table(M):
+    # every row, cell by cell, against the numpy tables of M and inverse(M)
+    steps = M.step_table()
+    nq, na = M.n_states, M.n_letters
+    for q in range(nq):
+        assert steps[q] == [(int(M.o[q, x]), int(M.t[q, x])) for x in range(na)]
+    if not M.is_invertible():
+        assert len(steps) == nq
+        return
+    inv = inverse(M)
+    assert len(steps) == 2 * nq
+    for q in range(nq):
+        assert steps[nq + q] == [(int(inv.o[q, y]), nq + int(inv.t[q, y])) for y in range(na)]
+
+
+@pytest.mark.parametrize("name", ["bellaterra", "aleshin", "adding", "conjugator",
+                                  "bireversible52", "div3", "affine(1,3)", "affine(5,3)"])
+def test_step_table_matches_numpy_tables(name):
+    M = builtin(name)
+    _check_step_table(M)
+    _check_step_table(dual(M))
+
+
+@given(st.lists(st.integers(0, 2), min_size=6, max_size=6),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_step_table_random_invertible_32(t, swaps):
+    o = [[1, 0] if sw else [0, 1] for sw in swaps]
+    _check_step_table(Automaton(["a", "b", "c"], ["0", "1"], t, o))
+
+
+def test_primed_letter_needs_invertible():
+    M = Automaton(["q"], ["0", "1"], [[0, 0]], [[0, 0]])
+    assert len(M.step_table()) == 1
+    calls = [
+        lambda: act(M, "q'", "01"),
+        lambda: act(M, GroupWord([("q", -1)]), "0"),
+        lambda: act_inf(M, "q'", EventuallyPeriodicWord.constant("0")),
+        lambda: group_section(M, "q'", "0"),
+        lambda: product([(M, "q'")]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()

@@ -190,3 +190,13 @@ def test_steer_needs_target():
 
 def test_act_rejects_foreign_letters():
     assert run(["act", "--builtin", "adding", "--word", "r", "--input", "012"]) == 2
+
+
+def test_level_above_cap_is_usage_error(capsys):
+    assert run(["schreier", "--builtin", "aleshin", "--level", "30"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_diameter_above_exact_cap_is_usage_error(capsys):
+    assert run(["diameter", "--builtin", "aleshin", "--from", "15", "--to", "15"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mealy.automaton import act, builtin
 from mealy.levels import level_permutation
 from mealy.schreier import (
+    LiftReport,
     WitnessNotFound,
     ball_series,
     ball_size,
@@ -125,6 +126,19 @@ def test_level_cycler_diverges_exactly_at_level():
         assert first_divergence(B, w, "1") == m
 
 
+def test_level_cycler_cache_keys_on_budget():
+    level_cycler(B, "1", 6)
+    with pytest.raises(WitnessNotFound):
+        level_cycler(B, "1", 6, budget=1)
+
+
+def test_level_cycler_cache_is_bounded():
+    from mealy.schreier import _CYCLER_CACHE_SIZE, _cycler_cache
+    for b in range(_CYCLER_CACHE_SIZE + 5):
+        level_cycler(B, "1", 0, budget=b + 1)
+    assert len(_cycler_cache) <= _CYCLER_CACHE_SIZE
+
+
 @settings(deadline=None)
 @given(st.text(alphabet="01", min_size=1, max_size=9))
 def test_steer_to_reaches_target(s):
@@ -174,12 +188,26 @@ def test_verify_lift_levels():
         assert r.max_level == 8
 
 
+def test_lift_report_truth_is_ok():
+    assert not LiftReport(False, None, {"level": 1}, 3)
+    assert LiftReport(True, None, None, 3)
+
+
 def test_verify_lift_catches_tampering():
     from mealy.automaton import Automaton
-    # same states, different wiring: rules from bellaterra must not verify
     M = Automaton.from_text(B.to_text())
-    r1 = verify_lift(M, 6)
-    assert bool(r1)
+    assert verify_lift(M, 6)
+    # the walk route reads the step table; a wrong output of c on 0 shows on level 1
+    M.step_table()[2][0] = (0, 0)
+    r = verify_lift(M, 6)
+    assert not r
+    assert (r.counterexample["level"], r.counterexample["state"]) == (1, "c")
+    # a wrong next state of a on 0 (c instead of b) shows on level 2
+    M = Automaton.from_text(B.to_text())
+    M.step_table()[0][0] = (0, 2)
+    r = verify_lift(M, 6)
+    assert not r
+    assert (r.counterexample["level"], r.counterexample["state"]) == (2, "a")
 
 
 def test_level_edges_match_permutation_action():

@@ -28,7 +28,7 @@ from math import ceil, log2
 import numpy as np
 
 from .automaton import Automaton, act_inf, builtin, dual, dual_act
-from .levels import all_level_maps, invert_perm
+from .levels import _walk, all_level_maps, invert_perm
 from .ratfunc import Poly, RationalSeries, solve_linear
 from .words import EventuallyPeriodicWord
 
@@ -188,15 +188,8 @@ def wreath_table_check(n: int = 10) -> WreathReport:
 
 def _perm_parity(p: np.ndarray) -> int:
     """Sign exponent of a permutation array: (size - #cycles) mod 2."""
-    seen = np.zeros(len(p), dtype=bool)
-    cycles = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = int(p[j])
+    step, seen = memoryview(p), bytearray(len(p))
+    cycles = sum(1 for i in range(len(p)) if _walk(step, i, seen))
     return (len(p) - cycles) & 1
 
 

@@ -6,7 +6,8 @@ table to stdout, and mirrors any file output (CSV, JSON, DOT, dat) with a
 from its artifacts alone.
 
 Exit codes: 0 success, 1 a verification target failed, 2 usage error
-(including a request above a library size cap).
+(including a request above a library size cap or an exhausted search
+budget).
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, merge_reports, table_space_size
-from .levels import is_single_cycle, level_permutation
-from .schreier import build, diameter, find_level_witness, steer_to
+from .levels import _search_levels, is_single_cycle
+from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, gap_series, write_gap_csv, write_gap_dat
-from .transitivity import cotransitivity, first_intransitive_level, is_transitive_exact
+from .transitivity import cotransitivity, first_intransitive_level
 
 LONG_RUN_TABLES = 1 << 22
 
@@ -160,17 +161,16 @@ def _cmd_gap(args, started):
 
 def _cmd_transitive(args, started):
     M = _load(args)
-    M.state_index(args.state)
+    qi = M.state_index(args.state)
     if properties(M).cyclic:
-        if is_transitive_exact(M, args.state):
+        lvl = first_intransitive_level(M, args.state)
+        if lvl is None:
             print(f"{args.state}: transitive on every level (exact)")
         else:
-            lvl = first_intransitive_level(M, args.state)
             print(f"{args.state}: not transitive, first failing level {lvl} (exact)")
         return 0
-    for n in range(1, args.levels + 1):
-        perm = level_permutation(M, args.state, n)
-        if not is_single_cycle(perm):
+    for n, P in enumerate(_search_levels(M, args.levels), start=1):
+        if not is_single_cycle(P[qi]):
             print(f"{args.state}: not transitive, first failing level {n} (orbit check)")
             return 0
     print(f"{args.state}: transitive up to level {args.levels} (no exact criterion; unknown beyond)")
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, MemoryError) as e:
+    except (ValueError, KeyError, OSError, MemoryError, WitnessNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

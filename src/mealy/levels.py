@@ -80,6 +80,22 @@ def all_level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> list[np.ndarra
     return list(_levels(M, n, cap))
 
 
+def _search_levels(M: Automaton, n: int):
+    """Level maps for levels 1..n in turn, for a search that may stop early.
+
+    Unlike level_maps, a level above LEVEL_CAP raises MemoryError only when
+    the search asks for it, so a verdict reached below the cap still stands.
+    """
+    top = 0  # counting up keeps a huge n from building a huge a**n
+    while top < n and M.n_letters ** (top + 1) <= LEVEL_CAP:
+        top += 1
+    levels = _levels(M, top, LEVEL_CAP)
+    next(levels)
+    yield from levels
+    if top < n:
+        raise MemoryError(f"level size {M.n_letters}^{top + 1} exceeds cap {LEVEL_CAP}")
+
+
 def invert_perm(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=p.dtype)
@@ -111,45 +127,29 @@ def level_permutation(M: Automaton, w, n: int, cap: int = LEVEL_CAP) -> np.ndarr
     return v
 
 
-def is_single_cycle(p: np.ndarray) -> bool:
-    """Whether the permutation p is one full-length cycle.
+def _walk(F, v: int, seen: bytearray) -> int:
+    """Follow the map F from v, marking each point until one already marked.
 
-    Uses p^N = id plus p^{N/r} fixed-point-free for every prime r | N, with
-    permutation powers computed by binary exponentiation (array gathers), so
-    multi-million-point levels stay cheap.
+    F is any indexable map (a memoryview of the level array walks it
+    without copying); returns how many points this walk marked.
     """
+    n = 0
+    while not seen[v]:
+        seen[v] = 1
+        v = F[v]
+        n += 1
+    return n
+
+
+def is_single_cycle(p: np.ndarray) -> bool:
+    """Whether the permutation p is one full-length cycle: a bijection
+    whose orbit through 0 covers every point."""
     N = len(p)
     if N <= 1:
         return True
     if np.bincount(p, minlength=N).max() != 1:
         return False
-
-    def power(base: np.ndarray, e: int) -> np.ndarray:
-        result = None
-        while e:
-            if e & 1:
-                result = base.copy() if result is None else base[result]
-            base = base[base]
-            e >>= 1
-        return result if result is not None else np.arange(N, dtype=p.dtype)
-
-    n = N
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    for r in primes:
-        q = power(p, N // r)
-        if (q == np.arange(N, dtype=p.dtype)).any():
-            return False
-    full = power(p, N)
-    return bool((full == np.arange(N, dtype=p.dtype)).all())
+    return _walk(memoryview(p), 0, bytearray(N)) == N
 
 
 def has_spanning_orbit(F: np.ndarray) -> bool:
@@ -162,17 +162,8 @@ def has_spanning_orbit(F: np.ndarray) -> bool:
     N = len(F)
     if N <= 1:
         return True
-    counts = np.bincount(F, minlength=N)
-    missing = np.flatnonzero(counts == 0)
+    missing = np.flatnonzero(np.bincount(F, minlength=N) == 0)
     if len(missing) > 1:
         return False
-    if len(missing) == 0:
-        return is_single_cycle(F)
-    seen = np.zeros(N, dtype=bool)
-    v = int(missing[0])
-    steps = 0
-    while not seen[v]:
-        seen[v] = True
-        v = int(F[v])
-        steps += 1
-    return steps == N
+    start = int(missing[0]) if len(missing) else 0
+    return _walk(memoryview(F), start, bytearray(N)) == N

@@ -22,11 +22,11 @@ import numpy as np
 from .automaton import Automaton, _is_cyclic, _least_full_cycle, act, dual, dual_act, group_section
 from .levels import (
     LEVEL_CAP,
+    _search_levels,
+    _walk,
     has_spanning_orbit,
     index_word,
-    level_maps,
     level_permutation,
-    word_index,
 )
 from .ratfunc import Poly, RationalSeries, solve_linear
 from .words import GroupWord
@@ -92,38 +92,19 @@ def orbits_on_level(
     perm = level_permutation(M, w, n, cap=cap)
     size = len(perm)
     if subset is None:
-        members = None
+        domain = range(size)
     else:
-        members = np.fromiter(
-            (subset(index_word(M, v, n)) for v in range(size)), dtype=bool, count=size
-        )
-    visited = np.zeros(size, dtype=bool)
+        domain = [v for v in range(size) if subset(index_word(M, v, n))]
+    step, seen = memoryview(perm), bytearray(size)
     sizes: list[int] = []
     reps: list[int] = []
-    in_domain = 0
-    covered = 0
-    domain = range(size) if members is None else np.flatnonzero(members)
-    if members is not None:
-        in_domain = len(domain)
-    else:
-        in_domain = size
     for start in domain:
-        start = int(start)
-        if visited[start]:
-            continue
-        length = 0
-        v = start
-        inside = 0
-        while not visited[v]:
-            visited[v] = True
-            if members is None or members[v]:
-                inside += 1
-            v = int(perm[v])
-            length += 1
-        sizes.append(length)
-        reps.append(start)
-        covered += inside
-    transitive = len(sizes) == 1 and sizes[0] == in_domain and covered == in_domain
+        if not seen[start]:
+            sizes.append(_walk(step, start, seen))
+            reps.append(start)
+    in_domain = len(domain)
+    # one cycle through every member: all of them lie on it
+    transitive = len(sizes) == 1 and sizes[0] == in_domain
     sizes.sort(reverse=True)
     return OrbitReport(n, sizes, np.asarray(reps), transitive, in_domain, M.alphabet)
 
@@ -247,29 +228,9 @@ def _is_prime(n: int) -> bool:
 
 
 def is_transitive_exact(M: Automaton, q: str) -> bool:
-    """Exact spherical-transitivity decision for state q of a cyclic automaton.
-
-    Walks the coefficient-vector trajectory to its cycle (the state space
-    Z_m^{|Q|} is finite) and demands gcd(c_n(q), m) = 1 throughout, with
-    early exit on the first non-generator coefficient.
-    """
-    _require_cyclic(M)
-    m = M.n_letters
-    if m == 1:
-        return True
-    k = _exponents(M) % m
-    T = _transition_count_matrix(M)
-    qi = M.state_index(q)
-    seen: set[bytes] = set()
-    vec = k.copy()
-    while True:
-        key = vec.tobytes()
-        if key in seen:
-            return True
-        seen.add(key)
-        if gcd(int(vec[qi]), m) != 1:
-            return False
-        vec = (T @ vec) % m
+    """Exact spherical-transitivity decision for state q of a cyclic automaton:
+    no coefficient of chi(q) fails to generate Z_m."""
+    return first_intransitive_level(M, q) is None
 
 
 def first_intransitive_level(M: Automaton, q: str, max_level: int | None = None) -> int | None:
@@ -328,17 +289,6 @@ class Verdict:
         return f"Verdict({self.kind}{extra})"
 
 
-def dual_state_spans_level(M: Automaton, x: str, n: int) -> bool:
-    """Whether the dual state x has a forward orbit covering Q^n.
-
-    Works whether or not the dual action is invertible: a non-bijective
-    level map can only span through a single tail into its cycle.
-    """
-    D = dual(M)
-    F = level_maps(D, n)[D.state_index(x)]
-    return has_spanning_orbit(F)
-
-
 def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     """Decide whether some dual state acts spherically transitively.
 
@@ -352,27 +302,27 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     if _is_cyclic(D):
         evidence = {}
         for x in D.states:
-            if is_transitive_exact(D, x):
-                return Verdict("yes", witness=x, evidence={"exact": True})
             evidence[x] = first_intransitive_level(D, x)
+            if evidence[x] is None:
+                return Verdict("yes", witness=x, evidence={"exact": True})
         level = max(evidence.values())
         return Verdict("no", level=level, evidence={"first_bad_level": evidence, "exact": True})
     evidence = {}
-    alive = list(D.states)
-    for n in range(1, level_budget + 1):
+    alive = list(range(D.n_states))
+    for n, P in enumerate(_search_levels(D, level_budget), start=1):
         still = []
-        for x in alive:
-            if dual_state_spans_level(M, x, n):
-                still.append(x)
+        for xi in alive:
+            if has_spanning_orbit(P[xi]):
+                still.append(xi)
             else:
-                evidence[x] = n
+                evidence[D.states[xi]] = n
         alive = still
         if not alive:
             return Verdict("no", level=n, evidence={"first_bad_level": evidence, "exact": False})
     return Verdict(
         "unknown",
         level=level_budget,
-        evidence={"surviving_states": alive, "first_bad_level": evidence},
+        evidence={"surviving_states": [D.states[xi] for xi in alive], "first_bad_level": evidence},
     )
 
 

@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import mealy
 
 PUBLIC = [
@@ -17,3 +21,24 @@ def test_public_api_pinned():
     assert mealy.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(mealy, name), name
+
+
+
+def test_benchmark_harness_names_resolve():
+    # perfbench/ imports library names and tracing.py::_specials reads three
+    # more; without this check, deleting one breaks only the harness
+    harness = Path(__file__).resolve().parent.parent / "perfbench"
+    names = [("mealy.automaton", "_signed_letters"), ("mealy.classify", "table_space_size"),
+             ("mealy.words", "GroupWord")]
+    for path in sorted(harness.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mealy":
+                names += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [(alias.name, None) for alias in node.names
+                          if alias.name.split(".")[0] == "mealy"]
+    assert len(names) > 3
+    for module, name in names:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule, or ImportError

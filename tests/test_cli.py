@@ -92,6 +92,38 @@ def test_transitive_subcommand(capsys):
     assert "transitive" in capsys.readouterr().out
 
 
+# outputs (0 1 2) and (0 1) generate S3, so no exact criterion applies
+S3_MACHINE = """states: a b
+alphabet: 0 1 2
+a 0 1 a
+a 1 2 b
+a 2 0 b
+b 0 1 b
+b 1 0 b
+b 2 2 a
+"""
+
+
+def test_transitive_orbit_fallback(tmp_path, capsys):
+    from mealy.automaton import Automaton
+    from mealy.levels import is_single_cycle, level_permutation
+
+    table = tmp_path / "s3.aut"
+    table.write_text(S3_MACHINE)
+    M = Automaton.from_text(S3_MACHINE)
+    for q, want in (("a", 6), ("b", 1)):
+        # reference: one level permutation rebuilt per level
+        first = next(n for n in range(1, 9) if not is_single_cycle(level_permutation(M, q, n)))
+        assert first == want
+        for levels in ("8", "30", "1000000000"):
+            assert run(["transitive", "--file", str(table), "--state", q,
+                        "--levels", levels]) == 0
+            out = capsys.readouterr().out
+            assert out.strip() == f"{q}: not transitive, first failing level {want} (orbit check)"
+    assert run(["transitive", "--file", str(table), "--state", "a", "--levels", "5"]) == 0
+    assert "transitive up to level 5" in capsys.readouterr().out
+
+
 def test_cotransitive_subcommand(capsys):
     assert run(["cotransitive", "--builtin", "bellaterra", "--budget", "4"]) == 0
     out = capsys.readouterr().out
@@ -167,6 +199,12 @@ def test_file_loading(tmp_path, capsys):
 
 
 # usage errors: exit code 2, no traceback
+
+def test_exhausted_witness_budget_is_usage_error(capsys):
+    assert run(["steer", "--builtin", "bellaterra", "--letter", "1",
+                "--witness-level", "9", "--budget", "2"]) == 2
+    assert "error: no witness for level 9 within budget 2" in capsys.readouterr().err
+
 
 def test_missing_automaton_is_usage_error():
     assert run(["info"]) == 2

@@ -95,6 +95,68 @@ def test_has_spanning_orbit():
     assert not has_spanning_orbit(np.array([0, 0, 3, 3]))  # two points missing
 
 
+def _orbit_oracle(F):
+    """(has a spanning orbit, is one full cycle) from a set-based orbit of
+    every start point."""
+    F = [int(v) for v in F]
+    N = len(F)
+
+    def orbit_size(v):
+        seen = set()
+        while v not in seen:
+            seen.add(v)
+            v = F[v]
+        return len(seen)
+
+    spans = any(orbit_size(v) == N for v in range(N))
+    return spans, spans and sorted(F) == list(range(N))
+
+
+@st.composite
+def level_like_maps(draw):
+    """(kind, map): a permutation, a single cycle, a tail into a cycle, or a
+    permutation with one or two points sent to another point's image; as an
+    int32 or int64 array, possibly a strided view."""
+    kind = draw(st.sampled_from(["perm", "cycle", "tail", "one_missing", "two_missing"]))
+    N = draw(st.integers({"tail": 2, "one_missing": 2, "two_missing": 4}.get(kind, 1), 40))
+    order = draw(st.permutations(range(N)))
+    F = list(order)
+    if kind in ("cycle", "tail"):
+        for i in range(N):
+            F[order[i]] = order[(i + 1) % N]
+    if kind == "tail":
+        # order[0] leaves the image: a tail into the cycle through order[k]
+        F[order[-1]] = order[draw(st.integers(1, N - 1))]
+    if kind in ("one_missing", "two_missing"):
+        # each redirected point's old image leaves the image
+        pts = draw(st.permutations(range(N)))
+        F[pts[0]] = F[pts[1]]
+        if kind == "two_missing":
+            F[pts[2]] = F[pts[3]]
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    arr = np.array(F, dtype=dtype)
+    if draw(st.booleans()):
+        buf = np.full(2 * N, -1, dtype=dtype)
+        buf[::2] = arr
+        arr = buf[::2]
+    return kind, arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_like_maps())
+def test_orbit_walk_matches_set_oracle(case):
+    kind, F = case
+    spans, cycle = _orbit_oracle(F)
+    assert has_spanning_orbit(F) == spans
+    assert is_single_cycle(F) == cycle
+    if kind == "cycle":
+        assert cycle
+    if kind == "tail":
+        assert spans and not cycle
+    if kind == "two_missing":
+        assert not spans
+
+
 def test_cap_guard():
     with pytest.raises(MemoryError):
         level_maps(B, 30, cap=1 << 10)

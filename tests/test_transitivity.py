@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy.automaton import act_inf, builtin, dual
-from mealy.levels import is_single_cycle, level_permutation
+from mealy.classify import enumerate_classes
+from mealy.levels import is_single_cycle, level_maps, level_permutation
 from mealy.ratfunc import Poly, RationalSeries, one_over_one_minus_t
 from mealy.transitivity import (
     char_coeffs,
     char_rational,
     cotransitivity,
-    dual_state_spans_level,
     first_intransitive_level,
     is_transitive_exact,
     orbit_cycle,
@@ -107,12 +107,61 @@ def test_cotransitivity_unknown_survivor():
     assert v.evidence["surviving_states"]
 
 
-def test_dual_state_spans_level_agrees_with_dual_perms():
-    for x in ("0", "1"):
-        for n in range(1, 6):
-            got = dual_state_spans_level(B, x, n)
-            want = is_single_cycle(level_permutation(dual(B), x, n))
-            assert got == want
+def _first_unspanned_level(M, x, top):
+    """First level <= top on which dual state x has no spanning orbit.
+
+    Brute force per (state, level): rebuild dual(M) and its level map, then
+    follow a set-based orbit from every start point.
+    """
+    D = dual(M)
+    for n in range(1, top + 1):
+        F = level_maps(D, n)[D.state_index(x)].tolist()
+
+        def orbit_size(v):
+            seen = set()
+            while v not in seen:
+                seen.add(v)
+                v = F[v]
+            return len(seen)
+
+        if not any(orbit_size(v) == len(F) for v in range(len(F))):
+            return n
+    return None
+
+
+BUILTINS = ("bellaterra", "aleshin", "adding", "div3", "conjugator", "bireversible52",
+            "affine(3,4)", "affine(5,3)")
+
+
+def test_cotransitivity_evidence_matches_brute_force():
+    machines = [builtin(nm) for nm in BUILTINS] + list(enumerate_classes(3, 2))
+    for M in machines:
+        v = cotransitivity(M, 4)
+        states = dual(M).states
+        if v.kind == "yes":
+            assert _first_unspanned_level(M, v.witness, 4) is None, M.name
+            continue
+        bad = v.evidence["first_bad_level"]
+        # exact refutations may lie beyond the budget
+        top = max([4, *bad.values()])
+        want = {x: _first_unspanned_level(M, x, top) for x in states}
+        assert bad == {x: n for x, n in want.items() if n is not None}, M.name
+        if v.kind == "no":
+            assert v.level == max(bad.values())
+        else:
+            assert v.evidence["surviving_states"] == [x for x in states if want[x] is None]
+
+
+def test_cotransitivity_verdict_below_cap_stands():
+    # the budget's top level is above the level cap, the refutation is not
+    for budget in (30, 10**9):
+        v = cotransitivity(B, budget)
+        assert v.kind == "no" and v.level == 2
+
+
+def test_cotransitivity_survivor_above_cap_raises():
+    with pytest.raises(MemoryError, match=r"5\^11"):
+        cotransitivity(builtin("bireversible52"), 30)
 
 
 def test_stabilizes_infinite_examples():

@@ -1,19 +1,21 @@
 """Census of small invertible automata up to relabeling.
 
 Tables are enumerated with permutation output rows (so every table is
-invertible), reduced to one representative per relabeling class by
-minimizing an integer serialization over all state and letter
-permutations, and each class is pushed through the cotransitivity
-pipeline: an exact characteristic-series decision when the class is
-cocyclic, orbit refutation at low levels otherwise, and for the single
-undecided (3,2) class a conjugation into a cyclic automaton that the
-series criterion can decide.
+invertible), reduced to one representative per relabeling class by one
+canonicalizer over stacked tables (the least byte string of cells
+output * |Q| + target over all state and letter permutations), and each
+class is pushed through the cotransitivity pipeline: an exact
+characteristic-series decision when the class is cocyclic, orbit
+refutation at low levels otherwise, and for the single undecided (3,2)
+class a conjugation into a cyclic automaton that the series criterion
+can decide.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -34,9 +36,53 @@ CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
 
 
-def _cells(t, o, q: int) -> tuple[int, ...]:
-    # state-major, letter-minor; one value per cell
-    return tuple(int(ov) * q + int(tv) for ov, tv in zip(o.flat, t.flat))
+def _least_cells(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
+    """Least cell string of each stacked (T, O) table over its relabelings.
+
+    The cells of a table are o*q + t, one byte each, state-major and
+    letter-minor.  Renamings of the states, and of the letters when
+    letters is true, are tried; strings are compared byte by byte as
+    big-endian uint64 words (zero-padded at the end), which orders them
+    as the base-(q*a) numbers they spell.  Row k of the result holds the
+    least string of table k as those words, in native byte order.
+    """
+    if q > CANON_MAX_STATES or a > CANON_MAX_LETTERS:
+        raise ValueError(f"relabeling orbit too large for ({q},{a})")
+    n, qa = len(T), q * a
+    src = (np.asarray(O) * q + T).astype(np.uint8).reshape(n, qa)
+    cells = np.zeros((n, -(-qa // 8) * 8), dtype=np.uint8)
+    words = cells.view(">u8")
+    best = None
+    lps = list(permutations(range(a))) if letters else [tuple(range(a))]
+    for sp in permutations(range(q)):
+        spA = np.array(sp)
+        for lp in lps:
+            lpA = np.array(lp)
+            # renamed cell (sp[s], lp[x]) is lp[o]*q + sp[t] of cell (s, x)
+            lut = (lpA[:, None] * q + spA).astype(np.uint8).ravel()
+            at = (np.argsort(spA)[:, None] * a + np.argsort(lpA)).ravel()
+            cells[:, :qa] = lut[src[:, at]]
+            cand = words.astype(np.uint64)
+            if best is None:
+                best = cand
+                continue
+            # cand < best lexicographically, deciding from the last word up
+            less = cand[:, -1] < best[:, -1]
+            for w in range(cand.shape[1] - 2, -1, -1):
+                less = (cand[:, w] < best[:, w]) | ((cand[:, w] == best[:, w]) & less)
+            np.copyto(best, cand, where=less[:, None])
+    return best
+
+
+def _unique_rows(keys: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-d key array in lexicographic order."""
+    s = keys[np.lexsort(keys.T[::-1])]
+    return s[np.r_[True, (s[1:] != s[:-1]).any(axis=1)]]
+
+
+def _key_bytes(words, q: int, a: int) -> bytes:
+    """A canonical key: the shape, then the cells held in one _least_cells row."""
+    return bytes([q, a]) + np.asarray(words, dtype=">u8").tobytes()[: q * a]
 
 
 def canonical_form(M: Automaton) -> bytes:
@@ -47,21 +93,8 @@ def canonical_form(M: Automaton) -> bytes:
     output-index * |Q| + target-index.
     """
     q, a = M.n_states, M.n_letters
-    if q > CANON_MAX_STATES or a > CANON_MAX_LETTERS:
-        raise ValueError(f"relabeling orbit too large for ({q},{a})")
-    t, o = np.asarray(M.t), np.asarray(M.o)
-    best = None
-    for sp in permutations(range(q)):
-        spA = np.array(sp)
-        spinv = np.argsort(spA)
-        ts, os_ = spA[t[spinv]], o[spinv]
-        for lp in permutations(range(a)):
-            lpA = np.array(lp)
-            lpinv = np.argsort(lpA)
-            cells = _cells(ts[:, lpinv], lpA[os_[:, lpinv]], q)
-            if best is None or cells < best:
-                best = cells
-    return bytes([q, a]) + bytes(best)
+    T, O = np.asarray(M.t)[None], np.asarray(M.o)[None]
+    return _key_bytes(_least_cells(T, O, q, a)[0], q, a)
 
 
 def from_canonical(key: bytes, name: str | None = None) -> Automaton:
@@ -75,16 +108,6 @@ def from_canonical(key: bytes, name: str | None = None) -> Automaton:
         vals // q,
         name=name,
     )
-
-
-def _key_int_to_bytes(key: int, q: int, a: int) -> bytes:
-    ncells = q * a
-    base = q * a
-    vals = []
-    for _ in range(ncells):
-        vals.append(key % base)
-        key //= base
-    return bytes([q, a]) + bytes(reversed(vals))
 
 
 def _raw_batch(q: int, a: int, start: int, end: int):
@@ -107,30 +130,6 @@ def _raw_batch(q: int, a: int, start: int, end: int):
     return T, O
 
 
-def _encode_batch(T, O, q: int, a: int) -> np.ndarray:
-    base = q * a
-    vals = (O.astype(np.int64) * q + T).reshape(T.shape[0], q * a)
-    key = np.zeros(T.shape[0], dtype=np.int64)
-    for i in range(q * a):
-        key = key * base + vals[:, i]
-    return key
-
-
-def _canonical_keys_batch(T, O, q: int, a: int) -> np.ndarray:
-    best = None
-    for sp in permutations(range(q)):
-        spA = np.array(sp, dtype=np.int8)
-        spinv = np.argsort(spA)
-        Ts = spA[T[:, spinv, :]]
-        Os = O[:, spinv, :]
-        for lp in permutations(range(a)):
-            lpA = np.array(lp, dtype=np.int8)
-            lpinv = np.argsort(lpA)
-            k = _encode_batch(Ts[:, :, lpinv], lpA[Os[:, :, lpinv]], q, a)
-            best = k if best is None else np.minimum(best, k)
-    return best
-
-
 def table_space_size(q: int, a: int) -> int:
     fact = 1
     for i in range(2, a + 1):
@@ -138,45 +137,55 @@ def table_space_size(q: int, a: int) -> int:
     return (fact * q**a) ** q
 
 
+def _slice_keys(q: int, a: int, lo: int, hi: int) -> np.ndarray:
+    T, O = _raw_batch(q, a, lo, hi)
+    return _unique_rows(_least_cells(T, O, q, a))
+
+
 def canonical_keys(
     q: int,
     a: int,
     batch_size: int = 1 << 20,
     cache_dir: str | None = None,
-    max_batches: int | None = None,
-):
-    """All canonical class keys for invertible (q,a) tables.
+    jobs: int = 1,
+) -> np.ndarray:
+    """All canonical class keys for invertible (q,a) tables, sorted.
 
-    Returns (sorted int64 key array, resume_token).  The token is None on
-    a complete run; otherwise it names the next unprocessed batch, and a
-    rerun with the same cache_dir picks up from cached per-batch results.
+    Row i is the least cell string of class i as _least_cells words;
+    _key_bytes turns it into the canonical_form key.  Each batch of raw
+    tables is split into at most jobs slices (and no more than the CPUs
+    available), canonicalized on threads, where numpy releases the GIL,
+    and united.  With cache_dir (default
+    $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
+    so an interrupted run resumes where it stopped.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("MEALY_CACHE_DIR")
     N = table_space_size(q, a)
     n_batches = (N + batch_size - 1) // batch_size
+    workers = min(jobs, len(os.sched_getaffinity(0)), batch_size, N)
     parts = []
-    token = None
-    for bi in range(n_batches):
-        if max_batches is not None and bi >= max_batches:
-            token = f"{q}x{a}:{batch_size}:{bi}"
-            break
-        path = None
-        if cache_dir:
-            path = os.path.join(cache_dir, f"canon-{q}x{a}-{batch_size}-{bi}.npy")
-            if os.path.exists(path):
-                parts.append(np.load(path))
-                continue
-        lo = bi * batch_size
-        hi = min(N, lo + batch_size)
-        T, O = _raw_batch(q, a, lo, hi)
-        uniq = np.unique(_canonical_keys_batch(T, O, q, a))
-        if path:
-            os.makedirs(cache_dir, exist_ok=True)
-            np.save(path, uniq)
-        parts.append(uniq)
-    keys = np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-    return keys, token
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        for bi in range(n_batches):
+            path = None
+            if cache_dir:
+                # "be8" names the row format; files of another format, such
+                # as the older int64 keys, are never read back as keys
+                path = os.path.join(cache_dir, f"canon-be8-{q}x{a}-{batch_size}-{bi}.npy")
+                if os.path.exists(path):
+                    parts.append(np.load(path))
+                    continue
+            lo = bi * batch_size
+            hi = min(N, lo + batch_size)
+            k = min(workers, hi - lo)
+            cuts = [lo + (hi - lo) * i // k for i in range(k + 1)]
+            slices = ex.map(lambda i: _slice_keys(q, a, cuts[i], cuts[i + 1]), range(k))
+            uniq = _unique_rows(np.concatenate(list(slices)))
+            if path:
+                os.makedirs(cache_dir, exist_ok=True)
+                np.save(path, uniq)
+            parts.append(uniq)
+    return _unique_rows(np.concatenate(parts))
 
 
 def _resolve_filters(filters):
@@ -196,22 +205,22 @@ def enumerate_classes(
     batch_size: int = 1 << 20,
     cache_dir: str | None = None,
     shard: tuple[int, int] | None = None,
+    jobs: int = 1,
 ):
     """Stream one representative automaton per relabeling class.
 
     Representatives are decoded from sorted canonical keys, so the order
     is deterministic; tables are invertible by construction.  filters may
     be property names (fields of the properties record) or predicates.
-    shard=(i,k) keeps classes with index congruent to i mod k.
+    shard=(i,k) keeps classes with index congruent to i mod k.  jobs is
+    the thread count of the key pass (see canonical_keys).
     """
-    keys, token = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir)
-    if token is not None:
-        raise RuntimeError(f"enumeration incomplete, resume from {token}")
+    keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)
     names, preds = _resolve_filters(filters)
     for i in range(len(keys)):
         if shard is not None and i % shard[1] != shard[0]:
             continue
-        M = from_canonical(_key_int_to_bytes(int(keys[i]), q, a), name=f"c{q}{a}-{i}")
+        M = from_canonical(_key_bytes(keys[i], q, a), name=f"c{q}{a}-{i}")
         if names:
             p = properties(M)
             if not all(getattr(p, nm) for nm in names):
@@ -304,12 +313,18 @@ def classify_cotransitive(
     batch_size: int = 1 << 20,
     cache_dir: str | None = None,
     shard: tuple[int, int] | None = None,
+    jobs: int = 1,
 ) -> CensusReport:
-    """Cotransitivity census over all invertible (q,a) classes."""
+    """Cotransitivity census over all invertible (q,a) classes.
+
+    jobs is the thread count of the key pass (see canonical_keys); the
+    per-class pipeline runs on the calling thread.
+    """
     rep = CensusReport(q, a, level_budget, shard=shard)
     rep.counts = {nm: 0 for nm in _PROP_FIELDS}
     cocyclic_keys = []
-    for M in enumerate_classes(q, a, batch_size=batch_size, cache_dir=cache_dir, shard=shard):
+    for M in enumerate_classes(q, a, batch_size=batch_size, cache_dir=cache_dir,
+                               shard=shard, jobs=jobs):
         rep.classes_total += 1
         p = properties(M)
         for nm in _PROP_FIELDS:
@@ -363,25 +378,12 @@ def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
     The state-renaming count (letters kept fixed, inverses kept separate)
     is the convention under which the (3,2) count is 16.
     """
-    n = 0
-    state_keys = set()
-    sps = list(permutations(range(q)))
     N = table_space_size(q, a)
     T, O = _raw_batch(q, a, 0, N)
-    for i in range(N):
-        M = Automaton(
-            [f"s{k}" for k in range(q)], [str(j) for j in range(a)], T[i], O[i]
-        )
-        if properties(M).cocyclic:
-            n += 1
-            best = None
-            for sp in sps:
-                spA = np.array(sp)
-                cells = _cells(spA[T[i][np.argsort(spA)]], O[i][np.argsort(spA)], q)
-                if best is None or cells < best:
-                    best = cells
-            state_keys.add(best)
-    return n, len(state_keys)
+    states, letters = [f"s{k}" for k in range(q)], [str(j) for j in range(a)]
+    hit = [i for i in range(N) if properties(Automaton(states, letters, T[i], O[i])).cocyclic]
+    state_keys = _unique_rows(_least_cells(T[hit], O[hit], q, a, letters=False))
+    return len(hit), len(state_keys)
 
 
 def merge_reports(reports: list[CensusReport]) -> CensusReport:

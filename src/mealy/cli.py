@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .automaton import Automaton, act, builtin, dual_act, properties
@@ -27,7 +26,7 @@ from .bellaterra import (
     preperiod_growth,
     wreath_table_check,
 )
-from .classify import classify_cotransitive, merge_reports, table_space_size
+from .classify import classify_cotransitive, table_space_size
 from .levels import _search_levels, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, gap_series, write_gap_csv, write_gap_dat
@@ -207,19 +206,14 @@ def _parse_shard(text):
 
 def _cmd_classify(args, started):
     q, a = args.states, args.letters
+    if args.jobs < 1:
+        raise UsageError("--jobs needs at least 1 thread")
     if table_space_size(q, a) > LONG_RUN_TABLES and not args.long:
         raise UsageError(
             f"({q},{a}) enumerates {table_space_size(q, a)} tables; pass --long to confirm"
         )
     shard = _parse_shard(args.shard) if args.shard else None
-    if shard is None and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            parts = list(ex.map(
-                lambda i: classify_cotransitive(q, a, args.budget, shard=(i, args.jobs)),
-                range(args.jobs)))
-        report = merge_reports(parts)
-    else:
-        report = classify_cotransitive(q, a, args.budget, shard=shard)
+    report = classify_cotransitive(q, a, args.budget, shard=shard, jobs=args.jobs)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -353,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=4)
     p.add_argument("--long", action="store_true", help="confirm an enumeration beyond 2^22 tables")
     p.add_argument("--shard", help="i/k: process classes with index = i mod k")
-    p.add_argument("--jobs", type=int, default=1, help="shard the census over this many threads")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="threads for the canonical-key pass (at most the CPUs available)")
     p.add_argument("--out", help="write the census report as JSON")
     p.set_defaults(func=_cmd_classify)
 

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from itertools import permutations
 from math import factorial
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import builtin, inverse, properties, relabel
+from mealy import classify
+from mealy.automaton import Automaton, builtin, inverse, properties, relabel
 from mealy.classify import (
     CensusReport,
+    _key_bytes,
+    _least_cells,
     canonical_form,
     canonical_keys,
     classify_cotransitive,
@@ -67,15 +71,109 @@ def _burnside_invertible(q, a):
 
 @pytest.mark.parametrize("q,a", [(1, 2), (2, 2), (3, 2), (2, 3)])
 def test_class_counts_match_burnside(q, a):
-    keys, token = canonical_keys(q, a)
-    assert token is None
+    keys = canonical_keys(q, a)
     assert len(keys) == _burnside_invertible(q, a)
 
 
 def test_class_counts_pinned():
-    assert len(canonical_keys(2, 2)[0]) == 24
-    assert len(canonical_keys(3, 2)[0]) == 544
-    assert len(canonical_keys(2, 3)[0]) == 231
+    assert len(canonical_keys(2, 2)) == 24
+    assert len(canonical_keys(3, 2)) == 544
+    assert len(canonical_keys(2, 3)) == 231
+
+
+def test_key_order_pinned():
+    # the i-th key names class cQA-i, so any change of order renames
+    # classes; the digest is of the keys as the int64 encoding ordered them
+    blob = b"".join(_key_bytes(k, q, a) for q, a in ((3, 2), (2, 3))
+                    for k in canonical_keys(q, a))
+    assert len(blob) == 544 * 8 + 231 * 8
+    assert hashlib.sha256(blob).hexdigest() == (
+        "0eaf4cd0fb74c19415bb03c0fd8e8145bc786d22ca8d00cc47a6e5a770136a7a")
+
+
+def _least_by_relabeling(M, letters=True):
+    # oracle: every relabeled table spelled out as Python bytes
+    q, a = M.n_states, M.n_letters
+    lps = permutations(range(a)) if letters else [tuple(range(a))]
+    return min(
+        bytes(int(R.o[s, x]) * q + int(R.t[s, x]) for s in range(q) for x in range(a))
+        for lp in lps for sp in permutations(range(q))
+        for R in [relabel(M, list(sp), list(lp))]
+    )
+
+
+@st.composite
+def _table_stacks(draw):
+    q, a = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2), (5, 2), (3, 3), (4, 3)]))
+    machines = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.lists(st.integers(0, q - 1), min_size=q * a, max_size=q * a))
+        o = [draw(st.permutations(range(a))) for _ in range(q)]
+        machines.append(Automaton([f"s{i}" for i in range(q)], [str(j) for j in range(a)],
+                                  np.array(t).reshape(q, a), np.array(o)))
+    return machines
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_stacks())
+def test_least_cells_matches_relabeling_oracle(machines):
+    q, a = machines[0].n_states, machines[0].n_letters
+    T = np.stack([M.t for M in machines])
+    O = np.stack([M.o for M in machines])
+    for letters in (True, False):
+        rows = _least_cells(T, O, q, a, letters=letters)
+        for M, row in zip(machines, rows):
+            assert _key_bytes(row, q, a) == bytes([q, a]) + _least_by_relabeling(M, letters)
+    assert canonical_form(machines[0]) == bytes([q, a]) + _least_by_relabeling(machines[0])
+
+
+@pytest.mark.parametrize("name", ["bellaterra", "aleshin", "adding", "div3", "conjugator",
+                                  "bireversible52", "affine(3,4)", "affine(5,3)"])
+def test_canonical_form_of_builtins_matches_oracle(name):
+    M = builtin(name)
+    assert canonical_form(M) == bytes([M.n_states, M.n_letters]) + _least_by_relabeling(M)
+
+
+def test_key_cache_is_read_back(tmp_path, monkeypatch):
+    want = canonical_keys(3, 2)
+    # written by two threads, read back by one: the files do not depend on jobs
+    assert (canonical_keys(3, 2, cache_dir=str(tmp_path), jobs=2) == want).all()
+    assert [p.name for p in tmp_path.iterdir()] == [f"canon-be8-3x2-{1 << 20}-0.npy"]
+
+    def no_canonicalizing(*args, **kwargs):
+        raise AssertionError("a cached batch was canonicalized again")
+
+    monkeypatch.setattr(classify, "_least_cells", no_canonicalizing)
+    again = canonical_keys(3, 2, cache_dir=str(tmp_path))
+    assert again.dtype == want.dtype and (again == want).all()
+
+
+def test_key_cache_ignores_int64_files(tmp_path, monkeypatch):
+    # the name the int64 encoding used; its content must never be read
+    (tmp_path / f"canon-3x2-{1 << 20}-0.npy").write_bytes(b"not keys")
+    monkeypatch.setenv("MEALY_CACHE_DIR", str(tmp_path))
+    assert (canonical_keys(3, 2) == canonical_keys(3, 2, cache_dir="")).all()
+    assert (tmp_path / f"canon-be8-3x2-{1 << 20}-0.npy").exists()
+
+
+def test_jobs_clamped_to_cpus_and_slices(inline_pool):
+    want32, want22 = canonical_keys(3, 2), canonical_keys(2, 2)
+    for q, a, batch, jobs, log in (
+        (3, 2, 1 << 20, 1, [("workers", 1), ("slices", 1)]),
+        (3, 2, 1 << 20, 2, [("workers", 2), ("slices", 2)]),
+        (3, 2, 1 << 20, 10**5, [("workers", 3), ("slices", 3)]),  # 3 CPUs
+        (2, 2, 2, 10**5, [("workers", 2)] + [("slices", 2)] * 32),  # 2-table batches
+    ):
+        inline_pool.clear()
+        keys = canonical_keys(q, a, batch_size=batch, jobs=jobs)
+        assert (keys == (want32 if q == 3 else want22)).all()
+        assert inline_pool == log
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            canonical_keys(2, 2, jobs=jobs)
 
 
 def test_table_space_size():

@@ -154,6 +154,25 @@ def test_classify_shard(capsys):
     assert "classes" in capsys.readouterr().out
 
 
+def test_classify_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        assert run(["classify", "--states", "2", "--letters", "2", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_classify_jobs_reach_key_pass_with_shard(tmp_path, inline_pool):
+    from mealy.classify import classify_cotransitive
+
+    out = tmp_path / "s.json"
+    for jobs, workers in (("2", 2), ("100000", 3)):  # inline_pool has 3 CPUs
+        inline_pool.clear()
+        assert run(["classify", "--states", "3", "--letters", "2", "--shard", "1/3",
+                    "--jobs", jobs, "--out", str(out)]) == 0
+        assert inline_pool == [("workers", workers), ("slices", workers)]
+        want = classify_cotransitive(3, 2, shard=(1, 3))
+        assert out.read_text() == want.to_json() + "\n"
+
+
 def test_verify_bellaterra(capsys):
     assert run(["verify", "bellaterra", "--level", "6", "--lemma-n", "6"]) == 0
     out = capsys.readouterr().out

@@ -46,7 +46,7 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.monotonic() - started, 3),
     }
 
 
@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    started = time.time()
+    started = time.monotonic()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

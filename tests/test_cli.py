@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -70,6 +72,17 @@ def test_diameter_exact_csv(tmp_path):
                 "--mode", "exact", "--csv", str(csv)]) == 0
     rows = [r.split(",") for r in csv.read_text().strip().splitlines()[1:]]
     assert [int(r[1]) for r in rows] == [1, 2, 3, 4]
+
+
+def test_manifest_wall_time_survives_clock_step(tmp_path, monkeypatch):
+    # the wall clock steps back 1000 s at every read, as a clock correction can
+    clock = itertools.count(1e9, -1000.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    csv = tmp_path / "diam.csv"
+    assert run(["diameter", "--builtin", "bellaterra", "--from", "1", "--to", "4",
+                "--csv", str(csv)]) == 0
+    man = json.loads((tmp_path / "diam.csv.manifest.json").read_text())
+    assert man["wall_time_s"] >= 0
 
 
 def test_diameter_bound_mode(capsys):

@@ -1,10 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import act, builtin
+from mealy import schreier
+from mealy.automaton import Automaton, act, builtin
 from mealy.levels import level_permutation
 from mealy.schreier import (
+    EXACT_DIAMETER_CAP,
     LiftReport,
     WitnessNotFound,
     ball_series,
@@ -65,10 +70,68 @@ def test_distances_against_direct_bfs():
 
 
 def test_diameter_series_pinned():
-    bd = [diameter(build(B, n)) for n in range(1, 9)]
-    ad = [diameter(build(A, n)) for n in range(1, 9)]
-    assert bd == [1, 2, 3, 4, 5, 8, 9, 10]
-    assert ad == [1, 1, 2, 2, 3, 4, 4, 5]
+    # levels 12..14 (4,097..16,384 vertices, several source passes) pinned
+    # from a per-vertex eccentricity maximum
+    levels = [*range(1, 9), 12, 13, 14]
+    assert [diameter(build(B, n)) for n in levels] == [1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17]
+    assert [diameter(build(A, n)) for n in levels] == [1, 1, 2, 2, 3, 4, 4, 5, 7, 8, 8]
+
+
+@st.composite
+def _random_levels(draw):
+    """A random invertible machine over 2 or 3 letters and a small level."""
+    a = draw(st.sampled_from([2, 3]))
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    letters = [str(x) for x in range(a)]
+    trans, out = {}, {}
+    for s in states:
+        for x, y in zip(letters, draw(st.permutations(letters))):
+            trans[s, x] = draw(st.sampled_from(states))
+            out[s, x] = y
+    n = draw(st.integers(0, 8 if a == 2 else 5))
+    return Automaton(states, letters, trans, out), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_levels(), st.sampled_from([schreier._PASS_SOURCES, 64, 37]))
+def test_diameter_matches_eccentricity_oracle(machine, pass_sources):
+    # 3^n vertices fill no whole 64-lane word; a small pass size splits the
+    # sources into several passes with a partial last one
+    M, n = machine
+    G = build(M, n)
+    with mock.patch.object(schreier, "_PASS_SOURCES", pass_sources):
+        try:
+            want = max(eccentricity(G, v) for v in range(G.n_vertices))
+        except ValueError:
+            with pytest.raises(ValueError, match="disconnected"):
+                diameter(G)
+        else:
+            assert diameter(G) == want
+    if n == 0:
+        assert diameter(G) == 0
+
+
+def test_diameter_trivial_and_disconnected():
+    ident = Automaton(["e"], "012", {("e", x): "e" for x in "012"}, {("e", x): x for x in "012"})
+    assert diameter(build(ident, 0)) == 0
+    assert diameter(build(B, 0)) == 0
+    with pytest.raises(ValueError, match="disconnected"):
+        diameter(build(ident, 2))
+    with pytest.raises(ValueError, match="disconnected"):
+        eccentricity(build(ident, 2), 4)
+
+
+def test_exact_diameter_memory_at_cap():
+    # the largest exact size; one dense n_v x n_v bool matrix would be 256 MB
+    G = build(A, 14)
+    assert G.n_vertices == EXACT_DIAMETER_CAP
+    tracemalloc.start()
+    try:
+        assert diameter(G) == 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_diameter_bounds_sandwich_exact():

@@ -257,7 +257,7 @@ def find_level_witness(
     raise WitnessNotFound(n, budget)
 
 
-def first_divergence(M: Automaton, w: GroupWord, x: str, cap: int = 4096) -> int | None:
+def first_divergence(M: Automaton, w: GroupWord, x: str) -> int | None:
     """First position where act(w, x x x ...) differs from x x x ..., or None."""
     img = act_inf(M, w, EventuallyPeriodicWord.constant(x))
     for i, y in enumerate(img.preperiod):

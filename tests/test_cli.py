@@ -59,11 +59,19 @@ def test_gap_writes_csv_and_manifest(tmp_path, capsys):
 
 
 def test_gap_dat_is_reproducible(tmp_path):
-    a, b = tmp_path / "a.dat", tmp_path / "b.dat"
-    for p in (a, b):
-        assert run(["gap", "--builtin", "aleshin", "--from", "2", "--to", "5",
-                    "--dat", str(p)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    # level 12 is lifted by a Lanczos solve, which starts from a fixed vector
+    for lo, hi in (("2", "5"), ("9", "12")):
+        a, b = tmp_path / f"a{lo}.dat", tmp_path / f"b{lo}.dat"
+        for p in (a, b):
+            assert run(["gap", "--builtin", "aleshin", "--from", lo, "--to", hi,
+                        "--dat", str(p)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+def test_gap_above_spectral_cap_is_usage_error(capsys):
+    assert run(["gap", "--builtin", "div3", "--from", "21", "--to", "21"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "spectral cap" in err
 
 
 def test_diameter_exact_csv(tmp_path):

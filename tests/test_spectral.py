@@ -1,12 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spl
+from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import Automaton, builtin, relabel
-from mealy.schreier import build
+from mealy import spectral
+from mealy.automaton import BUILTIN_NAMES, Automaton, builtin, relabel
+from mealy.levels import level_maps
+from mealy.schreier import SchreierGraph, build
 from mealy.spectral import (
     CSV_HEADER,
+    DENSE_CAP,
+    SPECTRAL_CAP,
     adjacency,
     gap_series,
     spectrum,
@@ -77,6 +84,13 @@ def test_disconnected_graph_flagged():
     r = spectrum(build(E, 2))
     assert r.disconnected
     assert r.gap_normalized == pytest.approx(0.0)
+    # every lifted level too, from dense and from Lanczos signed solves
+    for cap in (DENSE_CAP, 4):
+        series = gap_series(E, 1, 8, dense_cap=cap)
+        assert [r.level for r in series] == list(range(1, 9))
+        assert all(r.disconnected for r in series)
+        assert all(r.gap_normalized == pytest.approx(0.0) for r in series)
+    assert series[-1].solver == "iterative"  # the cap-4 series reached Lanczos
 
 
 def test_csv_and_dat_output(tmp_path):
@@ -97,3 +111,100 @@ def test_csv_and_dat_output(tmp_path):
 def test_aleshin_gap_exceeds_bellaterra():
     for n in (6, 7, 8):
         assert two_sided_gap(build(A, n)) > two_sided_gap(build(B, n))
+
+
+@st.composite
+def _binary_machines(draw):
+    """A random invertible machine over two letters with 1-4 states."""
+    q = draw(st.integers(1, 4))
+    t = draw(st.lists(st.integers(0, q - 1), min_size=2 * q, max_size=2 * q))
+    o = [draw(st.permutations(range(2))) for _ in range(q)]
+    return Automaton([f"s{i}" for i in range(q)], ["0", "1"], np.array(t).reshape(q, 2),
+                     np.array(o))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_binary_machines(), st.integers(0, 7))
+def test_lift_spectrum_is_union_with_signed(M, n):
+    # spec(level n+1) = spec(level n) + spec(signed level n), the signed
+    # matrix read off the level-(n+1) map alone
+    base = np.linalg.eigvalsh(adjacency(build(M, n)))
+    signed = np.linalg.eigvalsh(spectral._signed_adjacency(level_maps(M, n + 1)).toarray())
+    lifted = np.linalg.eigvalsh(adjacency(build(M, n + 1)))
+    assert np.allclose(np.sort(np.concatenate([base, signed])), lifted, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"])
+def test_gap_series_matches_per_level_spectrum(name):
+    M = builtin(name)
+    assert M.n_letters == 2
+    ref = [spectrum(build(M, n), dense_cap=1 << 13) for n in range(2, 11)]
+    assert all(r.solver == "dense" for r in ref)
+    for cap in (DENSE_CAP, 16):  # 16 sends every lifted level above 5 to Lanczos
+        series = gap_series(M, 2, 10, dense_cap=cap)
+        assert [r.level for r in series] == list(range(2, 11))
+        for r, want in zip(series, ref):
+            assert r.n_vertices == want.n_vertices
+            for field in ("lam_max", "lam2", "lam_min", "gap_normalized"):
+                assert abs(getattr(r, field) - getattr(want, field)) <= 1e-9, (r.level, field)
+            assert r.disconnected == want.disconnected
+
+
+def test_lanczos_rows_carry_residual_certificate():
+    series = gap_series(B, 6, 12)
+    lanczos = [r for r in series if r.solver == "iterative"]
+    assert [r.level for r in lanczos] == [12]  # signed level 11: 2048 > DENSE_CAP
+    assert all(0 < r.residual < 1e-8 for r in lanczos)
+    assert all(r.residual < 1e-12 for r in series if r.solver == "dense")
+    assert math.isnan(series[0].new_radius)  # level 6 is solved in full
+    for prev, r in zip(series, series[1:]):
+        # the eigenvalues a lift adds reach new_radius and no further
+        assert 0 < r.new_radius <= 3
+        assert max(r.lam2, -r.lam_min) == max(prev.lam2, -prev.lam_min, r.new_radius)
+
+
+def test_lanczos_output_repeats_exactly():
+    # the fixed start vector makes every digit repeat, residuals included
+    def runs():
+        return [repr(dataclasses.astuple(r))
+                for r in [spectrum(build(A, 10), dense_cap=16), *gap_series(A, 11, 12)]]
+
+    first = runs()
+    assert "iterative" in first[0] and "iterative" in first[-1]
+    assert runs() == first
+
+
+def test_lanczos_falls_back_to_looser_tolerance(monkeypatch):
+    eigsh, tols = spl.eigsh, []
+
+    def strict_fails(S, **kw):
+        tols.append(kw["tol"])
+        if kw["tol"] < 1e-8:
+            raise spl.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(S, **kw)
+
+    monkeypatch.setattr(spl, "eigsh", strict_fails)
+    G = build(A, 7)
+    r = spectrum(G, dense_cap=8)
+    assert tols == [1e-10, 1e-6]
+    assert (r.solver, r.tolerance) == ("iterative", 1e-6)
+    assert r.residual < 1e-4
+    assert r.gap == pytest.approx(spectrum(G).gap, abs=1e-8)
+
+
+def test_spectral_cap_raises_before_building(monkeypatch):
+    def no_build(*args, **kw):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(spectral, "build", no_build)
+    monkeypatch.setattr(spectral, "_levels", no_build)
+    D = builtin("div3")
+    for n_min, n_max in ((21, 21), (2, 21), (0, 10**9)):
+        with pytest.raises(MemoryError):
+            gap_series(D, n_min, n_max)
+    T = builtin("affine(2,3)")  # three letters: 3^13 > 2^20
+    with pytest.raises(MemoryError):
+        gap_series(T, 13, 13)
+    big = SchreierGraph(D, 21, np.zeros((1, SPECTRAL_CAP + 1), dtype=np.int32))
+    with pytest.raises(MemoryError):
+        spectrum(big)

@@ -56,6 +56,13 @@ def _emit(path: str, args: argparse.Namespace, started: float) -> None:
         fh.write("\n")
 
 
+def _write_heights(path: str, heights, args: argparse.Namespace, started: float) -> None:
+    with open(path, "w") as fh:
+        for n, h in enumerate(heights, start=1):
+            fh.write(f"{n} {h}\n")
+    _emit(path, args, started)
+
+
 def _load(args: argparse.Namespace) -> Automaton:
     name = args.builtin or args.automaton
     if name and args.file:
@@ -250,10 +257,7 @@ def _cmd_verify(args, started):
         rep = preperiod_growth(args.n, args.adding_n)
         ok = 0.57 <= rep.slope <= 0.70 and rep.adding_ok
         if args.csv:
-            with open(args.csv, "w") as fh:
-                for n, h in enumerate(rep.heights, start=1):
-                    fh.write(f"{n} {h}\n")
-            _emit(args.csv, args, started)
+            _write_heights(args.csv, rep.heights, args, started)
         _check_line(f"slope {rep.slope:.4f} in [0.57, 0.70]", 0.57 <= rep.slope <= 0.70)
         _check_line("adding machine height bound", rep.adding_ok)
         return 0 if ok else 1
@@ -263,10 +267,7 @@ def _cmd_verify(args, started):
 def _cmd_growth(args, started):
     rep = preperiod_growth(args.n, args.adding_n)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            for n, h in enumerate(rep.heights, start=1):
-                fh.write(f"{n} {h}\n")
-        _emit(args.csv, args, started)
+        _write_heights(args.csv, rep.heights, args, started)
     print(f"slope {rep.slope:.5f} over n <= {args.n}; "
           f"adding-machine max height {rep.adding_max_h} for n <= {args.adding_n}")
     return 0

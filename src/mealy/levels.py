@@ -45,12 +45,16 @@ def _levels(M: Automaton, n: int, cap: int):
     """Level maps for levels 0..n in turn, each built from the one before.
 
     Every level uses the dtype of level n.  Only the level being built and
-    the one before it are held here.
+    the one before it are held here.  ValueError for n below 0.
     """
     a, nq = M.n_letters, M.n_states
-    if a**n > cap:
+    if n < 0:
+        raise ValueError(f"level {n} is below 0")
+    # a**bit_length(cap) > cap for a >= 2, so a huge n never computes a huge a**n
+    size = a ** min(n, cap.bit_length())
+    if size > cap:
         raise MemoryError(f"level size {a}^{n} exceeds cap {cap}")
-    dt = _dtype_for(a**n)
+    dt = _dtype_for(size)
     P = np.zeros((nq, 1), dtype=dt)
     yield P
     o = M.o.astype(dt)

@@ -9,15 +9,20 @@ scale, which is the convention used when quoting gap levels for 3-regular
 families.  Positive gaps bounded away from zero across a family are what
 two-sided expansion means.
 
-Over a two-letter alphabet the level-(n+1) graph is a 2-lift of the level-n
-graph.  Dropping the last letter is the covering map, and the edge (v, q)
-has sign -1 exactly when the state reached from q after reading v swaps the
-two letters.  Hence spec(level n+1) = spec(level n) + spec(signed level n)
-as multisets, where the signed matrix has the pattern of level n and
-entries +-1 (Bilu and Linial, "Lifts, discrepancy and nearly optimal
-spectral gap", 2006).  gap_series uses this: after its first level it only
-solves the two extremes of each signed matrix, so its gaps are
-non-increasing by construction.
+Over an a-letter alphabet the level-k graph is an a-sheeted cover of the
+level-(k-1) graph: dropping the last letter is the covering map, and each
+edge (v, q) permutes the fiber over v by the way the state reached from q
+after reading v acts on the last letter.  Functions on level k split into
+those constant on every fiber (the level-(k-1) graph) and those summing to
+zero over every fiber, so spec(level k) = spec(level k-1) + spec(fiber
+matrix) as multisets.  The fiber matrix has the pattern of level k-1 with
+an (a-1)x(a-1) block per edge: the edge's fiber permutation written in an
+orthonormal basis of the zero-sum vectors of R^a (Bilu and Linial, "Lifts,
+discrepancy and nearly optimal spectral gap", 2006, for a = 2, where the
+blocks are the signs +-1; Friedman, "Relative expanders or weakly
+relatively Ramanujan graphs", 2003, for general covers).  gap_series uses
+this: after its first level it only solves the two extremes of each fiber
+matrix, so its gaps are non-increasing by construction.
 
 Eigenpairs come from a dense solve up to DENSE_CAP vertices and from
 Lanczos (ARPACK) above it, with a fixed seeded start vector so that output
@@ -30,8 +35,7 @@ solved: MemoryError instead, so no accepted size allocates gigabytes.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +57,8 @@ class SpectrumReport:
     is gap / |Q|, the value reported by two_sided_gap and emitted in series
     output.  residual is the largest ||Sx - lambda x|| over the eigenpairs
     solved for this level: those of the graph on a level solved in full,
-    those of the signed matrix on a lifted level (values carried from the
-    level below keep that row's certificate).  new_radius is the signed
+    those of the fiber matrix on a lifted level (values carried from the
+    level below keep that row's certificate).  new_radius is the fiber
     matrix's max |lambda|, the radius of the eigenvalues the lift added; it
     is NaN on a level solved in full.
     """
@@ -79,36 +83,43 @@ class SpectrumReport:
         )
 
 
-def _sparse_adjacency(cols: np.ndarray, weights):
-    """Sparse matrix with weights[q, v] added at (v, cols[q, v])."""
+def _sparse_adjacency(cols: np.ndarray, blocks):
+    """(A + A^T)/2, A having the m x m block blocks[q, v] added at block
+    position (v, cols[q, v]); blocks broadcasts to shape (|Q|, nv, m, m)."""
     import scipy.sparse as sp
 
     nq, nv = cols.shape
-    rows = np.tile(np.arange(nv), nq)
-    data = np.broadcast_to(weights, cols.shape).ravel()
-    return sp.coo_matrix((data, (rows, cols.ravel())), shape=(nv, nv)).tocsr()
+    m = np.shape(blocks)[-1]
+    data = np.broadcast_to(blocks, (nq, nv, m, m)).swapaxes(0, 1).reshape(-1, m, m)
+    A = sp.bsr_matrix((data, cols.T.ravel(), np.arange(0, nq * nv + 1, nq)),
+                      shape=(nv * m, nv * m))
+    # sorted columns fix the summation order of S @ x, and with it every
+    # digit of a Lanczos row, whatever order the blocks came in
+    return ((A + A.T) * 0.5).tocsr().sorted_indices()
 
 
-def adjacency(G: SchreierGraph, symmetrize: bool = True, sparse: bool = False):
-    """Adjacency matrix with one unit per state edge, optionally (A+A^T)/2."""
-    A = _sparse_adjacency(G.perms, 1.0)
-    if symmetrize:
-        A = (A + A.T) * 0.5
+def adjacency(G: SchreierGraph, sparse: bool = False):
+    """Adjacency matrix with one unit per state edge, symmetrized as (A+A^T)/2."""
+    A = _sparse_adjacency(G.perms, np.ones((1, 1)))
     return A if sparse else A.toarray()
 
 
-def _signed_adjacency(P: np.ndarray):
-    """Symmetrized signed matrix of level k-1 from the level-k map P.
+def _fiber_matrix(P: np.ndarray, a: int):
+    """Symmetrized fiber matrix of level k-1 from the level-k map P.
 
-    With h = 2^(k-1), column v < h of P is the image of the word v0.  The
-    last letter is the top digit, so P % h is the level-(k-1) image of v,
-    and P >= h exactly when the state reached from q after reading v swaps
-    the letters: those edges get the sign -1.
+    With h = a^(k-1), the last letter is the top digit: the edge (q, v) of
+    level k-1 goes to w = P[q, v] % h and maps the fiber v + h*x to
+    w + h*pi(x), pi(x) = P[q, v + h*x] // h.  Its block is U Pi U^T in the
+    orthonormal Helmert basis U of the zero-sum vectors of R^a: integer
+    rows of i+1 ones then -(i+1), normalized after the product so that
+    the a = 2 blocks are exactly +-1.
     """
-    h = P.shape[1] // 2
-    top = P[:, :h]
-    A = _sparse_adjacency(top % h, np.where(top >= h, -1.0, 1.0))
-    return (A + A.T) * 0.5
+    h = P.shape[1] // a
+    r, x = np.arange(1, a)[:, None], np.arange(a)
+    U, norm2 = (x < r) - r * (x == r), r * (r + 1)  # norm2[i] = |U_i|^2
+    pi = P.reshape(len(P), a, h) // h  # pi[q, x, v]
+    blocks = np.einsum("ix,jqxv->qvij", U, U[:, pi])
+    return _sparse_adjacency(P[:, :h] % h, blocks / np.sqrt(norm2 * norm2.T))
 
 
 def _extremes(S, n_top: int, dense_cap: int):
@@ -183,35 +194,40 @@ def two_sided_gap(G: SchreierGraph, dense_cap: int = DENSE_CAP) -> float:
     return spectrum(G, dense_cap=dense_cap).gap_normalized
 
 
-def _lift(prev: SpectrumReport, P: np.ndarray, dense_cap: int) -> SpectrumReport:
+def _lift(prev: SpectrumReport, P: np.ndarray, a: int, dense_cap: int) -> SpectrumReport:
     """The report of level k from that of level k-1 and the level-k map P."""
-    vals, solver, tol, residual = _extremes(_signed_adjacency(P), 1, dense_cap)
+    if a == 1:  # a one-sheeted cover is the same graph
+        return replace(prev, level=prev.level + 1)
+    vals, solver, tol, residual = _extremes(_fiber_matrix(P, a), 1, dense_cap)
     lo, hi = float(vals[0]), float(vals[-1])
+    # fmax: the single vertex of level 0 has no lambda_2 (NaN)
     return _report(prev.level + 1, P.shape[1], P.shape[0], prev.lam_max,
-                   max(prev.lam2, hi), min(prev.lam_min, lo), solver, tol, residual,
-                   new_radius=max(hi, -lo))
+                   float(np.fmax(prev.lam2, hi)), min(prev.lam_min, lo), solver, tol,
+                   residual, new_radius=max(hi, -lo))
 
 
 def gap_series(
     M: Automaton, n_min: int, n_max: int, dense_cap: int = DENSE_CAP
 ) -> list[SpectrumReport]:
-    """Spectrum reports for levels n_min..n_max.
+    """Spectrum reports for levels n_min..n_max ([] when n_min > n_max).
 
-    Over two letters from n_min >= 1, level n_min is solved in full with
-    spectrum, and each later level k only adds the extremes of the signed
-    matrix of level k-1, read off the level-k map: lambda_2 and lambda_min
-    become max(lambda_2, signed max) and min(lambda_min, signed min).  Other
-    alphabets, and series from level 0, solve every level in full.
-    MemoryError before any level is built when level n_max has more than
-    SPECTRAL_CAP vertices.
+    Level n_min is solved in full with spectrum, and each later level k
+    only adds the extremes of the fiber matrix of its a-sheeted cover of
+    level k-1, read off the level-k map: lambda_2 and lambda_min become
+    max(lambda_2, fiber max) and min(lambda_min, fiber min).  ValueError
+    for a level below 0 or a non-invertible automaton; MemoryError before
+    any level is built when level n_max has more than SPECTRAL_CAP vertices.
     """
+    if n_min < 0:
+        raise ValueError(f"level {n_min} is below 0")
     # capping the exponent keeps a huge n_max from computing a huge a**n_max
     _check_size(M.n_letters ** min(n_max, 64))
-    if M.n_letters != 2 or not 0 < n_min <= n_max:
-        return [spectrum(build(M, n), dense_cap=dense_cap) for n in range(n_min, n_max + 1)]
-    out = [spectrum(build(M, n_min), dense_cap=dense_cap)]
-    for P in itertools.islice(_levels(M, n_max, SPECTRAL_CAP), n_min + 1, None):
-        out.append(_lift(out[-1], P, dense_cap))
+    out: list[SpectrumReport] = []
+    for n, P in enumerate(_levels(M, n_max, SPECTRAL_CAP)):
+        if n == n_min:
+            out.append(spectrum(build(M, n), dense_cap=dense_cap))
+        elif n > n_min:
+            out.append(_lift(out[-1], P, M.n_letters, dense_cap))
     return out
 
 

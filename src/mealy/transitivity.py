@@ -14,6 +14,7 @@ trajectory is eventually periodic inside Z_m^{|Q|}.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 from typing import Callable
 
@@ -112,26 +113,6 @@ def orbits_on_level(
 # -- characteristic series ---------------------------------------------------
 
 
-class SeriesState:
-    """Coefficient-vector recursion for chi over Z_m.
-
-    coeffs[q] is the current coefficient c_n(chi(q)); step is n.  advance()
-    applies the linear map T once.
-    """
-
-    __slots__ = ("modulus", "coeffs", "step", "_T")
-
-    def __init__(self, modulus: int, coeffs: np.ndarray, T: np.ndarray, step: int = 1):
-        self.modulus = modulus
-        self.coeffs = coeffs
-        self.step = step
-        self._T = T
-
-    def advance(self) -> None:
-        self.coeffs = (self._T @ self.coeffs) % self.modulus
-        self.step += 1
-
-
 def _reference_cycle(M: Automaton) -> tuple[np.ndarray, dict[bytes, int]]:
     """The lexicographically least full |A|-cycle in <sigma_q>, with the
     exponent table mapping each sigma_q-realizable permutation to k."""
@@ -173,21 +154,21 @@ def _transition_count_matrix(M: Automaton) -> np.ndarray:
     return T
 
 
+def _coeff_vectors(M: Automaton):
+    """The coefficient vectors c_1, c_2, ... over Z_m, entry q from chi(q)."""
+    m = M.n_letters
+    T = _transition_count_matrix(M)
+    vec = _exponents(M) % m
+    while True:
+        yield vec
+        vec = (T @ vec) % m
+
+
 def char_coeffs(M: Automaton, q: str, N: int) -> list[int]:
     """First N coefficients of chi(q) over Z_m, m = |A|."""
     _require_cyclic(M)
-    m = M.n_letters
-    if m == 1:
-        return [0] * N
-    k = _exponents(M) % m
-    T = _transition_count_matrix(M)
     qi = M.state_index(q)
-    state = SeriesState(m, k.copy(), T)
-    out = []
-    for _ in range(N):
-        out.append(int(state.coeffs[qi]))
-        state.advance()
-    return out
+    return [int(vec[qi]) for vec in itertools.islice(_coeff_vectors(M), N)]
 
 
 def char_rational(M: Automaton, q: str) -> RationalSeries:
@@ -233,33 +214,23 @@ def is_transitive_exact(M: Automaton, q: str) -> bool:
     return first_intransitive_level(M, q) is None
 
 
-def first_intransitive_level(M: Automaton, q: str, max_level: int | None = None) -> int | None:
+def first_intransitive_level(M: Automaton, q: str) -> int | None:
     """Index of the first non-generator coefficient of chi(q), or None.
 
     The action of q is transitive on level n iff c_1..c_n all generate Z_m,
-    so this is also the first level where transitivity fails.
+    so this is also the first level where transitivity fails.  The vectors
+    c_n are eventually periodic, so a repeated one ends the search.
     """
     _require_cyclic(M)
-    m = M.n_letters
-    if m == 1:
-        return None
-    k = _exponents(M) % m
-    T = _transition_count_matrix(M)
     qi = M.state_index(q)
     seen: set[bytes] = set()
-    vec = k.copy()
-    n = 1
-    while True:
-        if gcd(int(vec[qi]), m) != 1:
+    for n, vec in enumerate(_coeff_vectors(M), start=1):
+        if gcd(int(vec[qi]), M.n_letters) != 1:
             return n
         key = vec.tobytes()
         if key in seen:
             return None
         seen.add(key)
-        if max_level is not None and n >= max_level:
-            return None
-        vec = (T @ vec) % m
-        n += 1
 
 
 # -- cotransitivity -----------------------------------------------------------

@@ -68,6 +68,32 @@ def test_gap_dat_is_reproducible(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_gap_over_three_letters_is_reproducible_and_non_increasing(tmp_path):
+    # every level above 4 is lifted through the 2x2 blocks of a 3-sheeted cover
+    a, b = tmp_path / "a.dat", tmp_path / "b.dat"
+    for p in (a, b):
+        assert run(["gap", "--builtin", "affine(2,3)", "--from", "4", "--to", "9",
+                    "--dat", str(p)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    rows = [line.split() for line in a.read_text().splitlines()]
+    assert [int(r[0]) for r in rows] == list(range(4, 10))
+    gaps = [float(r[1]) for r in rows]
+    assert all(x >= y for x, y in zip(gaps, gaps[1:]))
+    assert gaps[-1] < gaps[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["schreier", "--builtin", "aleshin", "--level", "-2"],
+    ["schreier", "--builtin", "aleshin", "--level", "1000000000"],
+    ["diameter", "--builtin", "aleshin", "--from", "-2", "--to", "1"],
+    ["gap", "--builtin", "aleshin", "--from", "-2", "--to", "1"],
+])
+def test_level_out_of_range_is_usage_error(args, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_gap_above_spectral_cap_is_usage_error(capsys):
     assert run(["gap", "--builtin", "div3", "--from", "21", "--to", "21"]) == 2
     err = capsys.readouterr().err

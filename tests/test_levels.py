@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,3 +162,22 @@ def test_orbit_walk_matches_set_oracle(case):
 def test_cap_guard():
     with pytest.raises(MemoryError):
         level_maps(B, 30, cap=1 << 10)
+
+
+def test_huge_level_refused_before_sizing():
+    # a**n itself would be a 12.5 MB integer at n = 10**8
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            level_maps(B, 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_negative_level_refused():
+    with pytest.raises(ValueError, match="below 0"):
+        level_maps(B, -1)
+    with pytest.raises(ValueError, match="below 0"):
+        all_level_maps(A, -3)

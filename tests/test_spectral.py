@@ -114,40 +114,77 @@ def test_aleshin_gap_exceeds_bellaterra():
 
 
 @st.composite
-def _binary_machines(draw):
-    """A random invertible machine over two letters with 1-4 states."""
+def _machines_and_levels(draw):
+    """A random invertible machine over 2 or 3 letters with 1-4 states, and a
+    level n whose level n+1 stays small enough for a dense solve."""
+    a = draw(st.sampled_from([2, 3]))
     q = draw(st.integers(1, 4))
-    t = draw(st.lists(st.integers(0, q - 1), min_size=2 * q, max_size=2 * q))
-    o = [draw(st.permutations(range(2))) for _ in range(q)]
-    return Automaton([f"s{i}" for i in range(q)], ["0", "1"], np.array(t).reshape(q, 2),
-                     np.array(o))
+    t = draw(st.lists(st.integers(0, q - 1), min_size=a * q, max_size=a * q))
+    o = [draw(st.permutations(range(a))) for _ in range(q)]
+    M = Automaton([f"s{i}" for i in range(q)], [str(x) for x in range(a)],
+                  np.array(t).reshape(q, a), np.array(o))
+    return M, draw(st.integers(0, {2: 7, 3: 4}[a]))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_binary_machines(), st.integers(0, 7))
-def test_lift_spectrum_is_union_with_signed(M, n):
-    # spec(level n+1) = spec(level n) + spec(signed level n), the signed
-    # matrix read off the level-(n+1) map alone
+@given(_machines_and_levels())
+def test_lift_spectrum_is_union_with_signed(machine_and_level):
+    # spec(level n+1) = spec(level n) + spec(fiber matrix of level n), the
+    # fiber matrix read off the level-(n+1) map alone; over two letters it
+    # is the signed matrix
+    M, n = machine_and_level
     base = np.linalg.eigvalsh(adjacency(build(M, n)))
-    signed = np.linalg.eigvalsh(spectral._signed_adjacency(level_maps(M, n + 1)).toarray())
+    fiber = spectral._fiber_matrix(level_maps(M, n + 1), M.n_letters).toarray()
+    if M.n_letters == 2:  # blocks of exactly +-1, halved once by the symmetrization
+        assert np.array_equal(fiber * 2, np.round(fiber * 2))
     lifted = np.linalg.eigvalsh(adjacency(build(M, n + 1)))
-    assert np.allclose(np.sort(np.concatenate([base, signed])), lifted, rtol=0, atol=1e-9)
+    assert np.allclose(np.sort(np.concatenate([base, np.linalg.eigvalsh(fiber)])), lifted,
+                       rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"])
+# levels n_min..n_max per machine: the binary builtins at 2..10, and two
+# machines over three and four letters up to about a thousand vertices
+_SERIES_LEVELS = {"affine(2,3)": (1, 7), "affine(3,4)": (1, 5)}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"] + list(_SERIES_LEVELS))
 def test_gap_series_matches_per_level_spectrum(name):
     M = builtin(name)
-    assert M.n_letters == 2
-    ref = [spectrum(build(M, n), dense_cap=1 << 13) for n in range(2, 11)]
+    lo, hi = _SERIES_LEVELS.get(name, (2, 10))
+    ref = [spectrum(build(M, n), dense_cap=1 << 13) for n in range(lo, hi + 1)]
     assert all(r.solver == "dense" for r in ref)
-    for cap in (DENSE_CAP, 16):  # 16 sends every lifted level above 5 to Lanczos
-        series = gap_series(M, 2, 10, dense_cap=cap)
-        assert [r.level for r in series] == list(range(2, 11))
+    for cap in (DENSE_CAP, 16):  # 16 sends every lifted level above 16 vertices to Lanczos
+        series = gap_series(M, lo, hi, dense_cap=cap)
+        assert [r.level for r in series] == list(range(lo, hi + 1))
         for r, want in zip(series, ref):
             assert r.n_vertices == want.n_vertices
             for field in ("lam_max", "lam2", "lam_min", "gap_normalized"):
                 assert abs(getattr(r, field) - getattr(want, field)) <= 1e-9, (r.level, field)
             assert r.disconnected == want.disconnected
+    assert series[-1].solver == "iterative"
+
+
+def test_gap_series_from_level_zero():
+    # level 0 is one vertex with no lambda_2; the lift to level 1 replaces it
+    for M in (A, builtin("affine(2,3)")):
+        series = gap_series(M, 0, 4)
+        assert math.isnan(series[0].lam2) and series[0].gap_normalized == 2.0
+        for r in series[1:]:
+            want = spectrum(build(M, r.level))
+            assert (r.lam2, r.lam_min) == pytest.approx((want.lam2, want.lam_min), abs=1e-9)
+    one = Automaton(["e"], ["0"], np.array([[0]]), np.array([[0]]))
+    assert [repr(r) for r in gap_series(one, 0, 3)] == [
+        repr(dataclasses.replace(spectrum(build(one, 0)), level=n)) for n in range(4)]
+
+
+def test_gap_series_argument_errors():
+    assert gap_series(A, 5, 3) == []
+    with pytest.raises(ValueError, match="below 0"):
+        gap_series(A, -2, 1)
+    not_invertible = Automaton(["z"], ["0", "1"], np.array([[0, 0]]), np.array([[0, 0]]))
+    with pytest.raises(ValueError, match="invertible"):
+        gap_series(not_invertible, 1, 3)
 
 
 def test_lanczos_rows_carry_residual_certificate():

@@ -473,49 +473,54 @@ def _rows(M: Automaton, w) -> list[int]:
     return rows
 
 
+def _run(steps, rows: list[int], letters) -> list[int]:
+    """Feed letter indices, in reading order, through a cascade of step-table
+    rows, rightmost row first; return the letters the leftmost row writes.
+
+    Each row reads the word written by the row to its right and is left in
+    rows at its section after that word, so calling again continues the
+    same infinite input.  The only loop that walks letter words through the
+    step table; letter by letter, as most calls feed one letter or a short
+    word through many rows.
+    """
+    out = []
+    cascade = range(len(rows) - 1, -1, -1)
+    for xi in letters:
+        for j in cascade:
+            xi, rows[j] = steps[rows[j]][xi]
+        out.append(xi)
+    return out
+
+
 def act(M: Automaton, w, s):
     """Apply the group word w to the letter word s, rightmost letter first.
 
     Length preserving; act(uv, s) = act(u, act(v, s)).  Inverse letters
     require M invertible.
     """
-    idx = [M.letter_index(x) for x in coerce_symbols(s)]
-    steps = M.step_table()
-    for row in reversed(_rows(M, w)):
-        for i, xi in enumerate(idx):
-            idx[i], row = steps[row][xi]
-    return format_symbols([M.alphabet[i] for i in idx], s)
+    letters = [M.letter_index(x) for x in coerce_symbols(s)]
+    out = _run(M.step_table(), _rows(M, w), letters)
+    return format_symbols([M.alphabet[i] for i in out], s)
 
 
 def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     """Apply w to an eventually periodic word; the image is again one.
 
-    The pair (machine states of w, position inside the input period) can
-    take finitely many values, so the output stream is detected by cycle
-    detection and returned in canonical form.
+    The rows of w at the start of each input period can take finitely many
+    values, so the output stream is detected by cycle detection on them and
+    returned in canonical form.
     """
     rows = _rows(M, w)
     steps = M.step_table()
-
-    def feed(xi: int) -> int:
-        for j in range(len(rows) - 1, -1, -1):
-            xi, rows[j] = steps[rows[j]][xi]
-        return xi
-
-    out: list[str] = []
-    for x in e.preperiod:
-        out.append(M.alphabet[feed(M.letter_index(x))])
-    per_idx = [M.letter_index(x) for x in e.period]
+    out = _run(steps, rows, [M.letter_index(x) for x in e.preperiod])
+    period = [M.letter_index(x) for x in e.period]
     seen: dict[tuple, int] = {}
-    pos = 0
-    while True:
-        key = (tuple(rows), pos)
-        if key in seen:
-            start = seen[key]
-            return EventuallyPeriodicWord(out[:start], out[start:])
+    while (key := tuple(rows)) not in seen:
         seen[key] = len(out)
-        out.append(M.alphabet[feed(per_idx[pos])])
-        pos = (pos + 1) % len(per_idx)
+        out += _run(steps, rows, period)
+    start = seen[key]
+    letters = [M.alphabet[i] for i in out]
+    return EventuallyPeriodicWord(letters[:start], letters[start:])
 
 
 def dual_act(M: Automaton, v, s):
@@ -526,11 +531,7 @@ def dual_act(M: Automaton, v, s):
     letter by letter in reading order.
     """
     word = [M.state_index(q) for q in coerce_symbols(v)]
-    steps = M.step_table()
-    for x in coerce_symbols(s):
-        xi = M.letter_index(x)
-        for j in range(len(word) - 1, -1, -1):
-            xi, word[j] = steps[word[j]][xi]
+    _run(M.step_table(), word, [M.letter_index(x) for x in coerce_symbols(s)])
     return format_symbols([M.states[q] for q in word], v)
 
 
@@ -541,16 +542,10 @@ def group_section(M: Automaton, w, s) -> GroupWord:
     For positive words this agrees with dual_act; inverse letters use
     (g^{-1})|_s = (g|_{act(g^{-1}, s)})^{-1}.
     """
-    rows = _rows(M, GroupWord.of(w))
-    steps, nq = M.step_table(), M.n_states
-    cur = [M.letter_index(x) for x in coerce_symbols(s)]
-    sections: list[tuple[str, int]] = [("", 0)] * len(rows)
-    for j in range(len(rows) - 1, -1, -1):
-        row = rows[j]
-        for i, xi in enumerate(cur):
-            cur[i], row = steps[row][xi]
-        sections[j] = (M.states[row % nq], 1 if row < nq else -1)
-    return GroupWord(sections)
+    rows = _rows(M, w)
+    _run(M.step_table(), rows, [M.letter_index(x) for x in coerce_symbols(s)])
+    nq = M.n_states
+    return GroupWord((M.states[row % nq], 1 if row < nq else -1) for row in rows)
 
 
 # -- composition and minimization -------------------------------------------
@@ -566,22 +561,20 @@ def product(parts: Sequence[tuple[Automaton, "GroupWord | str"]]) -> tuple[Autom
     """
     if not parts:
         raise ValueError("product of zero parts")
-    machines = [p[0] for p in parts]
-    alphabet = machines[0].alphabet
-    for M in machines[1:]:
+    alphabet = parts[0][0].alphabet
+    # one step table for all parts, each part's rows offset past the last's
+    steps: list[list[tuple[int, int]]] = []
+    start: list[int] = []
+    for M, w in parts:
         if M.alphabet != alphabet:
             raise ValueError("product needs one common alphabet")
-    # flatten to a stack of (machine index, step-table row), rightmost first
-    stack: list[tuple[int, int]] = []
-    for mi in range(len(parts) - 1, -1, -1):
-        rows = _rows(machines[mi], GroupWord.of(parts[mi][1]))
-        stack.extend((mi, row) for row in reversed(rows))
-    tables = [M.step_table() for M in machines]
-    start = tuple(stack)
+        off = len(steps)
+        start += [row + off for row in _rows(M, w)]
+        steps += [[(y, r + off) for y, r in entries] for entries in M.step_table()]
     na = len(alphabet)
 
-    index: dict[tuple, int] = {start: 0}
-    order = [start]
+    order = [tuple(start)]
+    index: dict[tuple, int] = {order[0]: 0}
     t_rows: list[list[int]] = []
     o_rows: list[list[int]] = []
     head = 0
@@ -590,17 +583,14 @@ def product(parts: Sequence[tuple[Automaton, "GroupWord | str"]]) -> tuple[Autom
         head += 1
         trow, orow = [], []
         for xi in range(na):
-            cur = xi
-            nxt = []
-            for mi, row in node:
-                cur, row = tables[mi][row][cur]
-                nxt.append((mi, row))
-            child = tuple(nxt)
+            rows = list(node)
+            (y,) = _run(steps, rows, [xi])
+            child = tuple(rows)
             if child not in index:
                 index[child] = len(order)
                 order.append(child)
             trow.append(index[child])
-            orow.append(cur)
+            orow.append(y)
         t_rows.append(trow)
         o_rows.append(orow)
     states = [f"t{i}" for i in range(len(order))]

@@ -388,10 +388,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args, started)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, MemoryError, WitnessNotFound) as e:
+    except (UsageError, ValueError, KeyError, OSError, MemoryError, WitnessNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

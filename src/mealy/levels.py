@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automaton import Automaton
+from .automaton import Automaton, _rows
 
 LEVEL_CAP = 1 << 24
 
@@ -89,7 +89,10 @@ def _search_levels(M: Automaton, n: int):
 
     Unlike level_maps, a level above LEVEL_CAP raises MemoryError only when
     the search asks for it, so a verdict reached below the cap still stands.
+    ValueError for n below 0.
     """
+    if n < 0:
+        raise ValueError(f"level {n} is below 0")
     top = 0  # counting up keeps a huge n from building a huge a**n
     while top < n and M.n_letters ** (top + 1) <= LEVEL_CAP:
         top += 1
@@ -112,22 +115,18 @@ def level_permutation(M: Automaton, w, n: int, cap: int = LEVEL_CAP) -> np.ndarr
     Consistent with act on every word of length n; inverse letters require
     an invertible automaton.
     """
-    from .automaton import _signed_letters
-
-    letters = _signed_letters(M, w)
-    if not M.is_invertible() and any(s < 0 for _, s in letters):
-        raise ValueError("inverse letters need an invertible automaton")
+    rows = _rows(M, w)  # rows from |Q| on are inverse states
     P = level_maps(M, n, cap=cap)
-    size = P.shape[1]
+    nq, size = P.shape
     v = np.arange(size, dtype=P.dtype)
     inv_cache: dict[int, np.ndarray] = {}
-    for qi, s in reversed(letters):
-        if s > 0:
-            v = P[qi][v]
+    for row in reversed(rows):
+        if row < nq:
+            v = P[row][v]
         else:
-            if qi not in inv_cache:
-                inv_cache[qi] = invert_perm(P[qi])
-            v = inv_cache[qi][v]
+            if row not in inv_cache:
+                inv_cache[row] = invert_perm(P[row - nq])
+            v = inv_cache[row][v]
     return v
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .automaton import Automaton, act, act_inf, group_section
-from .levels import LEVEL_CAP, invert_perm, level_maps
+from .levels import LEVEL_CAP, invert_perm, level_maps, word_index
 from .words import EventuallyPeriodicWord, GroupWord
 
 EXACT_DIAMETER_CAP = 1 << 14
@@ -149,6 +149,35 @@ def _act_index(M: Automaton, row: int, v: int, n: int) -> int:
     return out
 
 
+def _word_bfs(M: Automaton, x: str, L: int, rounds: int):
+    """Breadth-first walk from x^L under the states and their inverses.
+
+    Words of length L are index coded and no graph is materialized.  Yields
+    (image, parent, (state, sign)) once per word reached within `rounds`
+    generator steps, x^L itself first as (x^L, None, None); each state is
+    tried before its inverse, an order that decides which witness
+    find_level_witness returns.
+    """
+    nq = M.n_states
+    v0 = word_index(M, (x,) * L)
+    gens = [(qi + off, (q, s)) for qi, q in enumerate(M.states) for s, off in ((1, 0), (-1, nq))]
+    seen = {v0}
+    yield v0, None, None
+    frontier = [v0]
+    for _ in range(rounds):
+        nxt = []
+        for v in frontier:
+            for row, letter in gens:
+                u = _act_index(M, row, v, L)
+                if u not in seen:
+                    seen.add(u)
+                    yield u, v, letter
+                    nxt.append(u)
+        if not nxt:
+            break
+        frontier = nxt
+
+
 def ball_size(M: Automaton, x: str, r: int, L: int | None = None) -> int:
     """Size of the radius-r ball around x^L under all states and inverses.
 
@@ -160,23 +189,7 @@ def ball_size(M: Automaton, x: str, r: int, L: int | None = None) -> int:
         L = max(2 * r, 1)
     if not M.is_invertible():
         raise ValueError("ball_size works in the group generated by the states")
-    a = M.n_letters
-    xi = M.letter_index(x)
-    v0 = sum(xi * a**i for i in range(L))
-    seen = {v0}
-    frontier = [v0]
-    for _ in range(r):
-        nxt = []
-        for v in frontier:
-            for row in range(2 * M.n_states):
-                w = _act_index(M, row, v, L)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return len(seen)
+    return sum(1 for _ in _word_bfs(M, x, L, r))
 
 
 def ball_series(M: Automaton, x: str, r_max: int, L: int | None = None) -> list[tuple[int, int, int]]:
@@ -208,13 +221,10 @@ def find_level_witness(
     give u = w2^{-1} w1 with |u| <= 2 budget; by the pigeonhole principle a
     collision appears once the ball outgrows the prefix space.
     """
+    if n < 0:
+        raise ValueError(f"level {n} is below 0")
     if not M.is_invertible():
         raise ValueError("witness search needs an invertible automaton")
-    a = M.n_letters
-    xi = M.letter_index(x)
-    L = n + lookahead
-    mod = a**n
-    v0 = sum(xi * a**i for i in range(L))
 
     if n == 0:
         # any state moving x^infinity will do
@@ -224,36 +234,17 @@ def find_level_witness(
                 return w
         raise WitnessNotFound(0, budget)
 
-    nq = M.n_states
-    # (row, letter) per generator; each state then its inverse, an order
-    # that decides which witness the search returns
-    gens = [(qi + off, (q, s)) for qi, q in enumerate(M.states) for s, off in ((1, 0), (-1, nq))]
-    words: dict[int, tuple] = {v0: ()}  # image -> letter tuple, rightmost first
-    by_prefix: dict[int, int] = {v0 % mod: v0}
-    frontier = [v0]
-    for _ in range(budget):
-        nxt = []
-        for v in frontier:
-            wv = words[v]
-            for row, letter in gens:
-                u = _act_index(M, row, v, L)
-                if u in words:
-                    continue
-                wu = wv + (letter,)
-                words[u] = wu
-                pref = u % mod
-                other = by_prefix.get(pref)
-                if other is None:
-                    by_prefix[pref] = u
-                elif other != u:
-                    # act(w2^{-1} w1, x^n) = x^n while the long images differ
-                    w1 = GroupWord(tuple(reversed(wu)))
-                    w2 = GroupWord(tuple(reversed(words[other])))
-                    return (w2.inverse() * w1).reduce()
-                nxt.append(u)
-        frontier = nxt
-        if not frontier:
-            break
+    mod = M.n_letters**n
+    words: dict[int, tuple] = {}  # image -> letter tuple, rightmost first
+    by_prefix: dict[int, int] = {}
+    for u, parent, letter in _word_bfs(M, x, n + lookahead, budget):
+        words[u] = () if parent is None else words[parent] + (letter,)
+        other = by_prefix.setdefault(u % mod, u)
+        if other != u:
+            # act(w2^{-1} w1, x^n) = x^n while the long images differ
+            w1 = GroupWord(tuple(reversed(words[u])))
+            w2 = GroupWord(tuple(reversed(words[other])))
+            return (w2.inverse() * w1).reduce()
     raise WitnessNotFound(n, budget)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .automaton import Automaton
 from .levels import _levels
-from .schreier import SchreierGraph, build
+from .schreier import SchreierGraph
 
 DENSE_CAP = 1 << 10
 SPECTRAL_CAP = 1 << 20
@@ -220,12 +220,14 @@ def gap_series(
     """
     if n_min < 0:
         raise ValueError(f"level {n_min} is below 0")
+    if not M.is_invertible():
+        raise ValueError("Schreier graphs need an invertible automaton")
     # capping the exponent keeps a huge n_max from computing a huge a**n_max
     _check_size(M.n_letters ** min(n_max, 64))
     out: list[SpectrumReport] = []
     for n, P in enumerate(_levels(M, n_max, SPECTRAL_CAP)):
         if n == n_min:
-            out.append(spectrum(build(M, n), dense_cap=dense_cap))
+            out.append(spectrum(SchreierGraph(M, n, P), dense_cap=dense_cap))
         elif n > n_min:
             out.append(_lift(out[-1], P, M.n_letters, dense_cap))
     return out

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .automaton import Automaton, _is_cyclic, _least_full_cycle, act, dual, dual_act, group_section
+from .automaton import Automaton, _is_cyclic, _least_full_cycle, _rows, _run, dual
 from .levels import (
     LEVEL_CAP,
     _search_levels,
@@ -30,7 +30,6 @@ from .levels import (
     level_permutation,
 )
 from .ratfunc import Poly, RationalSeries, solve_linear
-from .words import GroupWord
 
 # -- orbits on a level -------------------------------------------------------
 
@@ -307,15 +306,14 @@ def stabilizes_infinite(M: Automaton, w, x: str) -> bool:
     letter x to x.  The orbit lives in a finite set (sections never grow),
     so plain cycle detection terminates.
     """
-    M.letter_index(x)
-    cur = GroupWord.of(w)
+    xi = M.letter_index(x)
+    rows, steps = _rows(M, w), M.step_table()
     seen: set[tuple] = set()
-    while cur.letters not in seen:
-        seen.add(cur.letters)
-        img = act(M, cur, (x,))
-        if img[0] != x:
+    while (key := tuple(rows)) not in seen:
+        seen.add(key)
+        # feeding x writes its image and leaves rows at the section at x
+        if _run(steps, rows, [xi]) != [xi]:
             return False
-        cur = group_section(M, cur, (x,))
     return True
 
 
@@ -328,13 +326,15 @@ def orbit_cycle(M: Automaton, x: str, v) -> tuple[int, int]:
     Brent's cycle detection; for reversible automata the preperiod is 0 and
     the period is the orbit size.
     """
-    start = tuple(v) if not isinstance(v, str) else tuple(v)
+    start = tuple(M.state_index(q) for q in v)
     if len(start) == 0:
         return (0, 1)
+    xi, steps = M.letter_index(x), M.step_table()
 
-    def f(word: tuple[str, ...]) -> tuple[str, ...]:
-        out = dual_act(M, word, (x,))
-        return tuple(out)
+    def f(word: tuple[int, ...]) -> tuple[int, ...]:
+        rows = list(word)
+        _run(steps, rows, [xi])
+        return tuple(rows)
 
     # Brent: find the period first, then the preperiod
     power, period = 1, 1

@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 def coerce_symbols(w: str | Sequence[str]) -> tuple[str, ...]:
     """Turn a word given as a string or sequence into a tuple of symbols."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 

@@ -18,6 +18,7 @@ from mealy.automaton import (
     relabel,
     union,
 )
+from mealy.levels import level_permutation
 from mealy.words import EventuallyPeriodicWord, GroupWord
 
 B = builtin("bellaterra")
@@ -148,6 +149,22 @@ def test_product_with_primed_words():
         assert act(P, s, w) == w
 
 
+def test_multi_character_state_names_everywhere():
+    from mealy.transitivity import stabilizes_infinite
+
+    P, s = product([(A, "a"), (B, "c")])
+    assert s == "t0"
+    for w in ("0", "10", "0110"):
+        for t in ("1", "011"):
+            assert act(P, s, w + t) == act(P, s, w) + act(P, group_section(P, s, w), t)
+        assert group_section(P, s + "'", w) == group_section(P, GroupWord([(s, -1)]), w)
+    for x in "01":
+        stream = EventuallyPeriodicWord.constant(x)
+        assert stabilizes_infinite(P, s, x) == (act_inf(P, s, stream) == stream)
+    Q, r = product([(P, s)])
+    assert act(Q, r, "0110101") == act(P, s, "0110101")
+
+
 def test_product_rejects_mixed_alphabets():
     with pytest.raises(ValueError):
         product([(A, "a"), (builtin("conjugator"), "a")])
@@ -257,6 +274,7 @@ def test_primed_letter_needs_invertible():
         lambda: act_inf(M, "q'", EventuallyPeriodicWord.constant("0")),
         lambda: group_section(M, "q'", "0"),
         lambda: product([(M, "q'")]),
+        lambda: level_permutation(M, "q'", 2),
     ]
     for call in calls:
         with pytest.raises(ValueError):

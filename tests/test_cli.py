@@ -87,6 +87,9 @@ def test_gap_over_three_letters_is_reproducible_and_non_increasing(tmp_path):
     ["schreier", "--builtin", "aleshin", "--level", "1000000000"],
     ["diameter", "--builtin", "aleshin", "--from", "-2", "--to", "1"],
     ["gap", "--builtin", "aleshin", "--from", "-2", "--to", "1"],
+    ["cotransitive", "--builtin", "bellaterra", "--budget", "-2"],
+    ["transitive", "--builtin", "affine(2,3)", "--state", "0", "--levels", "-3"],
+    ["steer", "--builtin", "bellaterra", "--letter", "0", "--witness-level", "-2"],
 ])
 def test_level_out_of_range_is_usage_error(args, capsys):
     assert run(args) == 2

@@ -233,7 +233,7 @@ def test_spectral_cap_raises_before_building(monkeypatch):
     def no_build(*args, **kw):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(spectral, "build", no_build)
+    monkeypatch.setattr(spectral, "SchreierGraph", no_build)
     monkeypatch.setattr(spectral, "_levels", no_build)
     D = builtin("div3")
     for n_min, n_max in ((21, 21), (2, 21), (0, 10**9)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import act_inf, builtin, dual
+from mealy.automaton import Automaton, act_inf, builtin, dual
 from mealy.classify import enumerate_classes
 from mealy.levels import is_single_cycle, level_maps, level_permutation
 from mealy.ratfunc import Poly, RationalSeries, one_over_one_minus_t
@@ -186,6 +186,29 @@ def test_orbit_cycle_reversible_has_no_preperiod():
 def test_orbit_cycle_identity_word():
     pre, per = orbit_cycle(ADD, "0", "ii")
     assert (pre, per) == (0, 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 3), st.integers(2, 3), st.data())
+def test_orbit_cycle_matches_rho_on_dual_level_map(nq, na, data):
+    # random tables, so the dual is often not invertible and the preperiod positive
+    cells = st.lists(st.lists(st.integers(0, nq - 1), min_size=na, max_size=na),
+                     min_size=nq, max_size=nq)
+    letters = st.lists(st.lists(st.integers(0, na - 1), min_size=na, max_size=na),
+                       min_size=nq, max_size=nq)
+    M = Automaton([f"q{i}" for i in range(nq)], [str(x) for x in range(na)],
+                  data.draw(cells), data.draw(letters))
+    x = data.draw(st.sampled_from(M.alphabet))
+    v = data.draw(st.lists(st.sampled_from(M.states), min_size=1, max_size=5))
+    m = len(v)
+    # the dual reads the rightmost state first: it is the least significant digit
+    F = level_maps(dual(M), m)[M.letter_index(x)]
+    u = sum(M.state_index(q) * nq**i for i, q in enumerate(reversed(v)))
+    first: dict[int, int] = {}
+    while u not in first:
+        first[u] = len(first)
+        u = int(F[u])
+    assert orbit_cycle(M, x, v) == (first[u], len(first) - first[u])
 
 
 def test_chi_requires_cyclic():

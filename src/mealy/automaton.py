@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import EventuallyPeriodicWord, GroupWord, coerce_symbols, format_symbols
+from .words import EventuallyPeriodicWord, GroupWord, format_symbols
 
 
 class Automaton:
@@ -498,7 +498,7 @@ def act(M: Automaton, w, s):
     Length preserving; act(uv, s) = act(u, act(v, s)).  Inverse letters
     require M invertible.
     """
-    letters = [M.letter_index(x) for x in coerce_symbols(s)]
+    letters = [M.letter_index(x) for x in s]
     out = _run(M.step_table(), _rows(M, w), letters)
     return format_symbols([M.alphabet[i] for i in out], s)
 
@@ -530,8 +530,8 @@ def dual_act(M: Automaton, v, s):
     (... q1 q0)^x = (... q1)^{sigma_{q0}(x)} (q0^x), and a longer s acts
     letter by letter in reading order.
     """
-    word = [M.state_index(q) for q in coerce_symbols(v)]
-    _run(M.step_table(), word, [M.letter_index(x) for x in coerce_symbols(s)])
+    word = [M.state_index(q) for q in v]
+    _run(M.step_table(), word, [M.letter_index(x) for x in s])
     return format_symbols([M.states[q] for q in word], v)
 
 
@@ -543,7 +543,7 @@ def group_section(M: Automaton, w, s) -> GroupWord:
     (g^{-1})|_s = (g|_{act(g^{-1}, s)})^{-1}.
     """
     rows = _rows(M, w)
-    _run(M.step_table(), rows, [M.letter_index(x) for x in coerce_symbols(s)])
+    _run(M.step_table(), rows, [M.letter_index(x) for x in s])
     nq = M.n_states
     return GroupWord((M.states[row % nq], 1 if row < nq else -1) for row in rows)
 

@@ -423,6 +423,9 @@ def preperiod_growth(n_max: int = 2000, adding_n_max: int = 10000) -> PreperiodR
     slope.  The binary odometer applied n times to 0^inf codes n itself
     and its preperiod must stay within 2 of log2(n+1), rounded up.
     """
+    if n_max < 2 or adding_n_max < 0:
+        raise ValueError(f"a slope needs n_max >= 2 and adding_n_max >= 0, "
+                         f"not {n_max} and {adding_n_max}")
     heights = []
     v = 0
     for _ in range(n_max):

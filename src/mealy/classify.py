@@ -23,6 +23,7 @@ import numpy as np
 
 from .automaton import (
     Automaton,
+    Properties,
     builtin,
     dual,
     inverse,
@@ -131,6 +132,8 @@ def _raw_batch(q: int, a: int, start: int, end: int):
 
 
 def table_space_size(q: int, a: int) -> int:
+    if q < 1 or a < 1:
+        raise ValueError(f"a census needs at least one state and one letter, not ({q},{a})")
     fact = 1
     for i in range(2, a + 1):
         fact *= i
@@ -159,9 +162,9 @@ def canonical_keys(
     $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
     so an interrupted run resumes where it stopped.
     """
+    N = table_space_size(q, a)
     if cache_dir is None:
         cache_dir = os.environ.get("MEALY_CACHE_DIR")
-    N = table_space_size(q, a)
     n_batches = (N + batch_size - 1) // batch_size
     workers = min(jobs, len(os.sched_getaffinity(0)), batch_size, N)
     parts = []
@@ -303,9 +306,6 @@ class CensusReport:
         return json.dumps(d, indent=2)
 
 
-_PROP_FIELDS = ("invertible", "reversible", "bireversible", "cyclic", "cocyclic")
-
-
 def classify_cotransitive(
     q: int,
     a: int,
@@ -321,13 +321,13 @@ def classify_cotransitive(
     per-class pipeline runs on the calling thread.
     """
     rep = CensusReport(q, a, level_budget, shard=shard)
-    rep.counts = {nm: 0 for nm in _PROP_FIELDS}
+    rep.counts = {nm: 0 for nm in Properties.__slots__}
     cocyclic_keys = []
     for M in enumerate_classes(q, a, batch_size=batch_size, cache_dir=cache_dir,
                                shard=shard, jobs=jobs):
         rep.classes_total += 1
         p = properties(M)
-        for nm in _PROP_FIELDS:
+        for nm in Properties.__slots__:
             if getattr(p, nm):
                 rep.counts[nm] += 1
         if p.cocyclic:
@@ -392,12 +392,12 @@ def merge_reports(reports: list[CensusReport]) -> CensusReport:
         raise ValueError("nothing to merge")
     base = reports[0]
     out = CensusReport(base.q, base.a, base.level_budget)
-    out.counts = {nm: 0 for nm in _PROP_FIELDS}
+    out.counts = {nm: 0 for nm in Properties.__slots__}
     for r in reports:
         if (r.q, r.a, r.level_budget) != (base.q, base.a, base.level_budget):
             raise ValueError("mismatched census parameters")
         out.classes_total += r.classes_total
-        for nm in _PROP_FIELDS:
+        for nm in Properties.__slots__:
             out.counts[nm] += r.counts.get(nm, 0)
         out.cotransitive_yes += r.cotransitive_yes
         out.cotransitive_no += r.cotransitive_no

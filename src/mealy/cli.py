@@ -240,6 +240,8 @@ def _check_line(name: str, ok: bool) -> bool:
 
 def _cmd_verify(args, started):
     if args.target == "bellaterra":
+        if args.level < 0 or args.lemma_n < 0:
+            raise UsageError("--level and --lemma-n need at least 0")
         all_ok = True
         w = wreath_table_check(args.level)
         all_ok &= _check_line(f"wreath table (n={args.level})", bool(w))

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automaton import Automaton, act, act_inf, group_section
+from .automaton import Automaton, _rows, _run, act, group_section
 from .levels import LEVEL_CAP, invert_perm, level_maps, word_index
-from .words import EventuallyPeriodicWord, GroupWord
+from .words import GroupWord
 
 EXACT_DIAMETER_CAP = 1 << 14
 
@@ -192,15 +192,6 @@ def ball_size(M: Automaton, x: str, r: int, L: int | None = None) -> int:
     return sum(1 for _ in _word_bfs(M, x, L, r))
 
 
-def ball_series(M: Automaton, x: str, r_max: int, L: int | None = None) -> list[tuple[int, int, int]]:
-    """(r, L, size) rows for r = 0..r_max."""
-    out = []
-    for r in range(r_max + 1):
-        depth = L if L is not None else max(2 * r, 1)
-        out.append((r, depth, ball_size(M, x, r, depth)))
-    return out
-
-
 # -- witnesses and steering ---------------------------------------------------
 
 
@@ -230,7 +221,7 @@ def find_level_witness(
         # any state moving x^infinity will do
         for q in M.states:
             w = GroupWord([(q, 1)])
-            if act_inf(M, w, EventuallyPeriodicWord.constant(x)) != EventuallyPeriodicWord.constant(x):
+            if first_divergence(M, w, x) is not None:
                 return w
         raise WitnessNotFound(0, budget)
 
@@ -249,17 +240,19 @@ def find_level_witness(
 
 
 def first_divergence(M: Automaton, w: GroupWord, x: str) -> int | None:
-    """First position where act(w, x x x ...) differs from x x x ..., or None."""
-    img = act_inf(M, w, EventuallyPeriodicWord.constant(x))
-    for i, y in enumerate(img.preperiod):
-        if y != x:
-            return i
-    if img.period == (x,):
-        return None
-    h = len(img.preperiod)
-    for j, y in enumerate(img.period):
-        if y != x:
-            return h + j
+    """First position where act(w, x x x ...) differs from x x x ..., or None.
+
+    Feeding x writes its image and leaves the rows of w at their section
+    at x.  Sections never grow, so the row tuples repeat, and w fixes
+    x x x ... when they repeat before a letter other than x is written.
+    """
+    xi = M.letter_index(x)
+    rows, steps = _rows(M, w), M.step_table()
+    seen: set[tuple] = set()
+    while (key := tuple(rows)) not in seen:
+        seen.add(key)
+        if _run(steps, rows, [xi]) != [xi]:
+            return len(seen) - 1  # the position just fed
     return None
 
 

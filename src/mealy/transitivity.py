@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .automaton import Automaton, _is_cyclic, _least_full_cycle, _rows, _run, dual
+from .automaton import Automaton, _is_cyclic, _least_full_cycle, _run, dual
 from .levels import (
     LEVEL_CAP,
     _search_levels,
@@ -30,6 +30,7 @@ from .levels import (
     level_permutation,
 )
 from .ratfunc import Poly, RationalSeries, solve_linear
+from .schreier import first_divergence
 
 # -- orbits on a level -------------------------------------------------------
 
@@ -112,36 +113,19 @@ def orbits_on_level(
 # -- characteristic series ---------------------------------------------------
 
 
-def _reference_cycle(M: Automaton) -> tuple[np.ndarray, dict[bytes, int]]:
-    """The lexicographically least full |A|-cycle in <sigma_q>, with the
-    exponent table mapping each sigma_q-realizable permutation to k."""
-    m = M.n_letters
-    rho = _least_full_cycle(M.o.tolist(), m)
-    if rho is None:
-        raise ValueError("not a cyclic automaton: no full cycle among the outputs")
-    table: dict[bytes, int] = {}
-    cur = tuple(range(m))
-    for k in range(m):
-        table[bytes(cur)] = k
-        cur = tuple(rho[cur[i]] for i in range(m))
-    return np.asarray(rho), table
-
-
 def _exponents(M: Automaton) -> np.ndarray:
-    """k_q for every state, with sigma_q = rho^{k_q}."""
-    _, table = _reference_cycle(M)
-    ks = []
-    for q in range(M.n_states):
-        key = bytes(tuple(int(v) for v in M.o[q]))
-        if key not in table:
-            raise ValueError("not a cyclic automaton: output outside <rho>")
-        ks.append(table[key])
-    return np.asarray(ks, dtype=np.int64)
-
-
-def _require_cyclic(M: Automaton) -> None:
-    if not _is_cyclic(M):
+    """k_q for every state, with sigma_q = rho^{k_q} for rho the least full
+    |A|-cycle in <sigma_q>; raises unless <sigma_q> is the group of rho,
+    which then holds every sigma_q."""
+    m, perms = M.n_letters, M.o.tolist()
+    rho = _least_full_cycle(perms, m)
+    if rho is None:
         raise ValueError("characteristic series needs a cyclic automaton")
+    power, cur = {}, tuple(range(m))
+    for k in range(m):
+        power[cur] = k
+        cur = tuple(rho[i] for i in cur)
+    return np.asarray([power[tuple(p)] for p in perms], dtype=np.int64)
 
 
 def _transition_count_matrix(M: Automaton) -> np.ndarray:
@@ -154,20 +138,21 @@ def _transition_count_matrix(M: Automaton) -> np.ndarray:
 
 
 def _coeff_vectors(M: Automaton):
-    """The coefficient vectors c_1, c_2, ... over Z_m, entry q from chi(q)."""
+    """The coefficient vectors c_1, c_2, ... over Z_m, entry q from chi(q).
+
+    Raises at the call, not at the first vector, when M is not cyclic.
+    """
     m = M.n_letters
     T = _transition_count_matrix(M)
-    vec = _exponents(M) % m
-    while True:
-        yield vec
-        vec = (T @ vec) % m
+    return itertools.accumulate(itertools.repeat(T), lambda vec, T: (T @ vec) % m,
+                                initial=_exponents(M) % m)
 
 
 def char_coeffs(M: Automaton, q: str, N: int) -> list[int]:
     """First N coefficients of chi(q) over Z_m, m = |A|."""
-    _require_cyclic(M)
+    vectors = _coeff_vectors(M)
     qi = M.state_index(q)
-    return [int(vec[qi]) for vec in itertools.islice(_coeff_vectors(M), N)]
+    return [int(vec[qi]) for vec in itertools.islice(vectors, N)]
 
 
 def char_rational(M: Automaton, q: str) -> RationalSeries:
@@ -175,11 +160,11 @@ def char_rational(M: Automaton, q: str) -> RationalSeries:
 
     Solves (I - tT) chi = k by Gaussian elimination over the fraction field.
     """
-    _require_cyclic(M)
+    k = _exponents(M)
     p = M.n_letters
     if not _is_prime(p):
         raise ValueError(f"alphabet size {p} is not prime; use char_coeffs")
-    k = _exponents(M) % p
+    k %= p
     T = _transition_count_matrix(M) % p
     nq = M.n_states
     A = [
@@ -213,23 +198,30 @@ def is_transitive_exact(M: Automaton, q: str) -> bool:
     return first_intransitive_level(M, q) is None
 
 
+def _first_bad_levels(M: Automaton) -> list[int | None]:
+    """For every state q, the first n with c_n[q] not a generator of Z_m,
+    or None: one pass over c_1, c_2, ..., which are eventually periodic,
+    so a repeated vector ends it (as does every state having its n)."""
+    m = M.n_letters
+    bad: list[int | None] = [None] * M.n_states
+    seen: set[bytes] = set()
+    for n, vec in enumerate(_coeff_vectors(M), start=1):
+        key = vec.tobytes()
+        if key in seen or None not in bad:
+            return bad
+        seen.add(key)
+        for qi, c in enumerate(vec.tolist()):
+            if bad[qi] is None and gcd(c, m) != 1:
+                bad[qi] = n
+
+
 def first_intransitive_level(M: Automaton, q: str) -> int | None:
     """Index of the first non-generator coefficient of chi(q), or None.
 
     The action of q is transitive on level n iff c_1..c_n all generate Z_m,
-    so this is also the first level where transitivity fails.  The vectors
-    c_n are eventually periodic, so a repeated one ends the search.
+    so this is also the first level where transitivity fails.
     """
-    _require_cyclic(M)
-    qi = M.state_index(q)
-    seen: set[bytes] = set()
-    for n, vec in enumerate(_coeff_vectors(M), start=1):
-        if gcd(int(vec[qi]), M.n_letters) != 1:
-            return n
-        key = vec.tobytes()
-        if key in seen:
-            return None
-        seen.add(key)
+    return _first_bad_levels(M)[M.state_index(q)]
 
 
 # -- cotransitivity -----------------------------------------------------------
@@ -270,13 +262,11 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
         raise ValueError("cotransitivity assumes an invertible automaton")
     D = dual(M)
     if _is_cyclic(D):
-        evidence = {}
-        for x in D.states:
-            evidence[x] = first_intransitive_level(D, x)
-            if evidence[x] is None:
+        bad = dict(zip(D.states, _first_bad_levels(D)))
+        for x, n in bad.items():
+            if n is None:
                 return Verdict("yes", witness=x, evidence={"exact": True})
-        level = max(evidence.values())
-        return Verdict("no", level=level, evidence={"first_bad_level": evidence, "exact": True})
+        return Verdict("no", level=max(bad.values()), evidence={"first_bad_level": bad, "exact": True})
     evidence = {}
     alive = list(range(D.n_states))
     for n, P in enumerate(_search_levels(D, level_budget), start=1):
@@ -302,19 +292,10 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
 def stabilizes_infinite(M: Automaton, w, x: str) -> bool:
     """Whether the group word w fixes the infinite word x x x ...
 
-    Criterion: every word in the orbit of w under sectioning at x sends the
-    letter x to x.  The orbit lives in a finite set (sections never grow),
-    so plain cycle detection terminates.
+    It does when sectioning w at x reaches a repeated section before any
+    section moves x (schreier.first_divergence).
     """
-    xi = M.letter_index(x)
-    rows, steps = _rows(M, w), M.step_table()
-    seen: set[tuple] = set()
-    while (key := tuple(rows)) not in seen:
-        seen.add(key)
-        # feeding x writes its image and leaves rows at the section at x
-        if _run(steps, rows, [xi]) != [xi]:
-            return False
-    return True
+    return first_divergence(M, w, x) is None
 
 
 # -- orbit period under the dual action ---------------------------------------

@@ -21,11 +21,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def coerce_symbols(w: str | Sequence[str]) -> tuple[str, ...]:
-    """Turn a word given as a string or sequence into a tuple of symbols."""
-    return tuple(w)
-
-
 def format_symbols(letters: Sequence[str], like: str | Sequence[str]) -> str | tuple[str, ...]:
     """Return ``letters`` in the same shape the caller used for input."""
     if isinstance(like, str) and all(len(x) == 1 for x in letters):
@@ -148,8 +143,8 @@ class EventuallyPeriodicWord:
     __slots__ = ("preperiod", "period")
 
     def __init__(self, preperiod: Sequence[str] | str, period: Sequence[str] | str):
-        pre = coerce_symbols(preperiod)
-        per = _primitive(coerce_symbols(period))
+        pre = tuple(preperiod)
+        per = _primitive(tuple(period))
         if not per:
             raise ValueError("period must be nonempty")
         while pre and pre[-1] == per[-1]:

@@ -42,3 +42,27 @@ def test_benchmark_harness_names_resolve():
         mod = importlib.import_module(module)
         if name is not None and not hasattr(mod, name):
             importlib.import_module(f"{module}.{name}")  # a submodule, or ImportError
+
+
+def test_no_unused_imports_in_library():
+    # a deletion that leaves its import behind fails here; a name listed in
+    # __all__ counts as used, as __init__ imports it only to re-export it
+    unused = []
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

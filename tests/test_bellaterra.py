@@ -167,6 +167,12 @@ def test_preperiod_growth_quick():
     assert len(rep.heights) == 300  # one entry per n = 1..n_max
 
 
+@pytest.mark.parametrize("n_max, adding_n_max", [(1, 10), (0, 10), (-3, 10), (8, -1)])
+def test_preperiod_growth_refuses_sizes_without_a_slope(n_max, adding_n_max):
+    with pytest.raises(ValueError, match="n_max >= 2 and adding_n_max >= 0"):
+        preperiod_growth(n_max, adding_n_max)
+
+
 def test_preperiod_heights_start():
     rep = preperiod_growth(8, 10)
     # alpha^{-n}(0) codes 2^n - 1, whose preperiod stays within n + 1 digits

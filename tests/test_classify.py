@@ -181,6 +181,14 @@ def test_table_space_size():
     assert table_space_size(5, 2) == 50**5
 
 
+@pytest.mark.parametrize("q, a", [(0, 2), (2, 0), (-1, 2), (0, 0)])
+def test_empty_shape_refused(q, a):
+    with pytest.raises(ValueError, match="at least one state and one letter"):
+        table_space_size(q, a)
+    with pytest.raises(ValueError, match="at least one state and one letter"):
+        canonical_keys(q, a)
+
+
 def test_canonical_form_invariant_under_relabeling():
     M = builtin("bellaterra")
     key = canonical_form(M)

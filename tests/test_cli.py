@@ -97,6 +97,24 @@ def test_level_out_of_range_is_usage_error(args, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "--states", "0", "--letters", "2"],
+    ["classify", "--states", "2", "--letters", "0"],
+    ["classify", "--states", "-1", "--letters", "2"],
+    ["growth", "--n", "0"],
+    ["growth", "--n", "1", "--adding-n", "5"],
+    ["growth", "--n", "5", "--adding-n", "-1"],
+    ["verify", "preperiod", "--n", "0"],
+    ["verify", "preperiod", "--n", "-3"],
+    ["verify", "bellaterra", "--lemma-n", "-2"],
+    ["verify", "bellaterra", "--level", "-2"],
+])
+def test_size_without_an_answer_is_usage_error(args, capsys):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_gap_above_spectral_cap_is_usage_error(capsys):
     assert run(["gap", "--builtin", "div3", "--from", "21", "--to", "21"]) == 2
     err = capsys.readouterr().err

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy import schreier
-from mealy.automaton import Automaton, act, builtin
+from mealy.automaton import Automaton, act, act_inf, builtin
 from mealy.levels import level_permutation
 from mealy.schreier import (
     EXACT_DIAMETER_CAP,
     LiftReport,
     WitnessNotFound,
-    ball_series,
     ball_size,
     build,
     diameter,
@@ -25,6 +24,7 @@ from mealy.schreier import (
     steer_to,
     verify_lift,
 )
+from mealy.words import EventuallyPeriodicWord, GroupWord
 
 B = builtin("bellaterra")
 A = builtin("aleshin")
@@ -152,11 +152,6 @@ def test_ball_size_monotone_and_saturating():
     assert sizes[:7] == [1, 3, 7, 15, 31, 61, 127]
 
 
-def test_ball_series_matches_ball_size():
-    for r, L, size in ball_series(B, "1", 5):
-        assert size == ball_size(B, "1", r, L)
-
-
 def test_ball_size_is_infinite_level_count():
     # radius-r ball around 1^inf only depends on the first ~r letters;
     # with an explicit horizon the count must agree
@@ -181,6 +176,34 @@ def test_find_level_witness_budget_failure():
 def test_first_divergence():
     u = find_level_witness(B, "0", 5, 10)
     assert first_divergence(B, u, "0") == 5
+
+
+BUILTINS = ("adding", "aleshin", "bellaterra", "bireversible52", "conjugator", "div3",
+            "affine(2,3)", "affine(3,4)")
+
+
+def _act_inf_scan(M, w, x):
+    """First letter other than x in the act_inf image of x x x ..., or None."""
+    img = act_inf(M, w, EventuallyPeriodicWord.constant(x))
+    return next((i for i, y in enumerate(img.preperiod + img.period) if y != x), None)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(BUILTINS), st.data())
+def test_first_divergence_matches_act_inf_scan(name, data):
+    M = builtin(name)
+    letter = st.tuples(st.sampled_from(M.states), st.sampled_from((1, -1)))
+    w = GroupWord(data.draw(st.lists(letter, max_size=5)))
+    x = data.draw(st.sampled_from(M.alphabet))
+    assert first_divergence(M, w, x) == _act_inf_scan(M, w, x)
+
+
+def test_first_divergence_of_empty_word():
+    for name in BUILTINS:
+        M = builtin(name)
+        for x in M.alphabet:
+            assert first_divergence(M, GroupWord(), x) is None
+            assert _act_inf_scan(M, GroupWord(), x) is None
 
 
 def test_level_cycler_diverges_exactly_at_level():

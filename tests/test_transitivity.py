@@ -1,8 +1,10 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import Automaton, act_inf, builtin, dual
+from mealy.automaton import Automaton, act_inf, builtin, dual, properties
 from mealy.classify import enumerate_classes
 from mealy.levels import is_single_cycle, level_maps, level_permutation
 from mealy.ratfunc import Poly, RationalSeries, one_over_one_minus_t
@@ -48,18 +50,44 @@ def test_transitive_iff_coefficients_are_units():
     assert first_intransitive_level(ADD, "r") is None
 
 
+def _first_non_cycle_level(M, q, top=8):
+    return next((n for n in range(1, top + 1)
+                 if not is_single_cycle(level_permutation(M, q, n))), None)
+
+
+# levels 1..8 decide every state below: a state of a cyclic machine with 2-3
+# states over 2-3 letters that is not spherically transitive fails by level 5,
+# and the builtins' states by level 3
+CYCLIC_BUILTINS = [builtin(n) for n in ("adding", "aleshin", "bellaterra", "bireversible52",
+                                        "conjugator", "div3")]
+CYCLIC_BUILTINS += [dual(builtin("affine(2,3)")), dual(builtin("affine(3,4)"))]
+
+
 def test_transitivity_matches_single_cycle_per_level():
-    for M, q in ((ADD, "r"), (DIV, "1"), (B, "c")):
-        expected = is_transitive_exact(M, q)
-        for n in range(1, 9):
-            got = is_single_cycle(level_permutation(M, q, n))
-            if not got:
-                assert not expected
-                assert first_intransitive_level(M, q) <= n
-                break
-        else:
-            lvl = first_intransitive_level(M, q)
-            assert expected or lvl > 8
+    for M in CYCLIC_BUILTINS:
+        for q in M.states:
+            want = _first_non_cycle_level(M, q)
+            assert first_intransitive_level(M, q) == want, (M.name, q)
+            assert is_transitive_exact(M, q) == (want is None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 3), st.integers(2, 3), st.data())
+def test_transitivity_matches_single_cycle_on_random_cyclic(nq, na, data):
+    # outputs are powers of one full cycle, at least one of them generating
+    rho = (*range(1, na), 0)
+    powers = [tuple(range(na))]
+    while len(powers) < na:
+        powers.append(tuple(rho[i] for i in powers[-1]))
+    ks = data.draw(st.lists(st.integers(0, na - 1), min_size=nq, max_size=nq)
+                   .filter(lambda ks: any(gcd(k, na) == 1 for k in ks)))
+    cells = st.lists(st.lists(st.integers(0, nq - 1), min_size=na, max_size=na),
+                     min_size=nq, max_size=nq)
+    M = Automaton([f"q{i}" for i in range(nq)], [str(x) for x in range(na)],
+                  data.draw(cells), [list(powers[k]) for k in ks])
+    assert properties(M).cyclic
+    for q in M.states:
+        assert first_intransitive_level(M, q) == _first_non_cycle_level(M, q), q
 
 
 def test_div3_states_transitivity():
@@ -78,9 +106,14 @@ def test_orbits_on_level_partition():
 
 
 def test_orbits_on_level_with_subset():
-    # parity of bit sums is preserved by the adding machine square
+    # rr adds 2, so its orbits on level 4 are the even and the odd residues;
+    # words starting with 0 (least significant digit first) are the even ones
     rep = orbits_on_level(ADD, "rr", 4)
     assert sorted(rep.sizes) == [8, 8]
+    rep = orbits_on_level(ADD, "rr", 4, subset=lambda w: w[0] == "0")
+    assert rep.sizes == [8]
+    assert rep.domain_size == 8
+    assert rep.transitive
 
 
 def test_cotransitivity_verdicts_pinned():

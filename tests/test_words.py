@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mealy.words import EventuallyPeriodicWord, GroupWord, coerce_symbols, format_symbols
+from mealy.words import EventuallyPeriodicWord, GroupWord, format_symbols
 
 
 def test_parse_and_repr():
@@ -52,7 +52,6 @@ def test_inverse_antihomomorphism(u, v):
 
 
 def test_coerce_and_format_roundtrip():
-    assert coerce_symbols("011") == ("0", "1", "1")
     assert format_symbols(["0", "1"], "xx") == "01"
     assert format_symbols(["0", "1"], ("x", "x")) == ("0", "1")
 

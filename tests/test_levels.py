@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import act, builtin
+from mealy import levels
+from mealy.automaton import BUILTIN_NAMES, Automaton, act, builtin, dual
 from mealy.levels import (
     LEVEL_CAP,
+    WALK_CUTOFF,
     all_level_maps,
     has_spanning_orbit,
     index_word,
@@ -97,6 +99,19 @@ def test_has_spanning_orbit():
     assert not has_spanning_orbit(np.array([0, 0, 3, 3]))  # two points missing
 
 
+def test_maps_out_of_range_are_refused():
+    # not maps into range(N): False, not an IndexError or a bincount ValueError
+    high = level_permutation(builtin("adding"), "r", 12)
+    low = high.copy()
+    high[5] += len(high)  # p % 2 still looks compatible
+    low[5] -= len(low)
+    for F in ([3, 0, 1], [1, 2, 5], [-1, 0, 1], [1, -2, 0], [1], high, low):
+        for dtype in (np.int32, np.int64):
+            assert not is_single_cycle(np.array(F, dtype=dtype)), F
+            assert not has_spanning_orbit(np.array(F, dtype=dtype)), F
+    assert not has_spanning_orbit([3, 0, 1])
+
+
 def _orbit_oracle(F):
     """(has a spanning orbit, is one full cycle) from a set-based orbit of
     every start point."""
@@ -157,6 +172,134 @@ def test_orbit_walk_matches_set_oracle(case):
         assert spans and not cycle
     if kind == "two_missing":
         assert not spans
+
+
+def _walk_oracle(F):
+    """(has a spanning orbit, is one full cycle) by one plain walk, from the
+    only point outside the image or, for a bijection, from 0."""
+    F = [int(v) for v in F]
+    N = len(F)
+    missing = sorted(set(range(N)) - set(F))
+    if len(missing) > 1:
+        return False, False
+    spans = levels._walk(F, missing[0] if missing else 0, bytearray(N)) == N
+    return spans, spans and not missing
+
+
+def _assert_kernel_matches_walk(F):
+    """Both answers against _walk_oracle, as int32, int64 and a strided view."""
+    want = _walk_oracle(F)
+    buf = np.full(2 * len(F), -1, dtype=np.int64)
+    buf[::2] = F
+    for arr in (np.asarray(F, dtype=np.int32), np.asarray(F, dtype=np.int64), buf[::2]):
+        assert (has_spanning_orbit(arr), is_single_cycle(arr)) == want
+    return want
+
+
+def _levels_around_cutoff(a):
+    """Levels whose size lies from just below WALK_CUTOFF to 16 times above it."""
+    return [n for n in range(1, 20) if WALK_CUTOFF // a <= a**n <= 16 * WALK_CUTOFF]
+
+
+def test_first_return_matches_walk_on_builtin_level_maps():
+    names = [n for n in BUILTIN_NAMES if n != "affine(k,m)"] + ["affine(2,3)", "affine(3,4)"]
+    cycles = 0
+    for M in [m for name in names for m in (builtin(name), dual(builtin(name)))]:
+        for n in _levels_around_cutoff(M.n_letters):
+            for row in level_maps(M, n):
+                cycles += _assert_kernel_matches_walk(row)[1]
+    assert cycles > 0
+
+
+@st.composite
+def invertible_automata(draw):
+    """Invertible automata with 1-3 states over 2-5 letters."""
+    nq, na = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    t = draw(st.lists(st.lists(st.integers(0, nq - 1), min_size=na, max_size=na),
+                      min_size=nq, max_size=nq))
+    # powers of one a-cycle make level-transitive states common
+    powers = [[(x + k) % na for x in range(na)] for k in range(na)]
+    o = draw(st.lists(st.just(powers[1]) | st.sampled_from(powers) | st.permutations(range(na)),
+                      min_size=nq, max_size=nq))
+    return Automaton([f"q{i}" for i in range(nq)], [str(x) for x in range(na)], t, o)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_automata())
+def test_first_return_matches_walk_on_random_automata(M):
+    a = M.n_letters
+    n = min(n for n in range(1, 20) if a**n > WALK_CUTOFF)
+    for row in level_maps(M, n):
+        _assert_kernel_matches_walk(row)
+
+
+# transitive level maps above the cutoff, for a = 2, 3, 5
+_CYCLES = [(2, level_permutation(builtin("adding"), "r", 13)),
+           (3, level_maps(dual(builtin("affine(3,4)")), 8)[1]),
+           (5, level_maps(dual(builtin("bireversible52")), 6)[0])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_CYCLES), st.data())
+def test_first_return_matches_walk_on_perturbed_maps(case, data):
+    # transpositions of images at positions congruent mod a^depth keep p
+    # compatible down to that depth but make it no tree map; the first splits
+    # the cycle, a second may merge it again
+    a, F = case
+    F = F.copy()
+    assert is_single_cycle(F)
+    for _ in range(data.draw(st.integers(1, 2))):
+        step = a ** data.draw(st.integers(1, 4))
+        i = data.draw(st.integers(0, len(F) - 1))
+        j = (i + step * data.draw(st.integers(1, len(F) // step - 1))) % len(F)
+        F[[i, j]] = F[[j, i]]
+    _assert_kernel_matches_walk(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2053, 2310, 4096, 5000]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_first_return_matches_walk_without_compatible_divisor(N, cycle, seed):
+    # random permutations and random N-cycles: no small divisor is compatible
+    order = np.random.default_rng(seed).permutation(N)
+    F = order
+    if cycle:
+        F = np.empty(N, dtype=np.int64)
+        F[order] = np.roll(order, -1)
+    found = _assert_kernel_matches_walk(F)[1]
+    assert found or not cycle
+
+
+def test_first_return_walks_no_big_map(monkeypatch):
+    # the 390,625-point map must be decided by first return: a fallback to
+    # walking the whole map would record a walk above the cutoff
+    D = dual(builtin("bireversible52"))
+    p = level_maps(D, 8)[D.states.index("0")]
+    walked = []
+    walk = levels._walk
+
+    def recording(F, v, seen):
+        walked.append(walk(F, v, seen))
+        return walked[-1]
+
+    monkeypatch.setattr(levels, "_walk", recording)
+    assert is_single_cycle(p)
+    assert has_spanning_orbit(p)
+    assert walked and max(walked) <= WALK_CUTOFF
+
+
+def test_cycle_checks_allocate_few_bytes_per_point():
+    # a one-byte image mark and fibers of N/5 points; a bincount, or an
+    # index cast to intp, would take 8 bytes per point on its own
+    D = dual(builtin("bireversible52"))
+    p = level_maps(D, 8)[D.states.index("0")]
+    for check in (is_single_cycle, has_spanning_orbit):
+        tracemalloc.start()
+        try:
+            assert check(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(p), check.__name__
 
 
 def test_cap_guard():

@@ -207,15 +207,21 @@ def _from_rows(states, alphabet, rows, name):
     return Automaton(states, alphabet, tr, out, name=name)
 
 
+AFFINE_CELL_CAP = 1 << 16  # largest k*m table that builtin("affine(k,m)") builds
+
+
 def _affine(k: int, m: int) -> Automaton:
     """Automaton of x -> (x - q) / k on m-adic integers, for gcd(k, m) = 1.
 
     State q sends input digit x to the digit y with q + k*y = x + m*b and
     moves to state b; reading x as a least-significant-digit-first integer,
-    state q computes (x - q) * k^{-1} mod m^n on every level n.
+    state q computes (x - q) * k^{-1} mod m^n on every level n.  ValueError
+    when the k*m table has more than AFFINE_CELL_CAP cells.
     """
     import math
 
+    if k * m > AFFINE_CELL_CAP:
+        raise ValueError(f"affine({k},{m}) has {k * m} table cells, above {AFFINE_CELL_CAP}")
     if math.gcd(k, m) != 1:
         raise ValueError(f"affine({k},{m}) needs gcd(k, m) = 1")
     kinv = pow(k, -1, m)

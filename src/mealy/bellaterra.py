@@ -6,9 +6,9 @@ Five independent checks live here:
   avoiding a fixed first letter, and ``wreath_table_check`` verifies that
   conjugating the dual-Bellaterra action through these encodings satisfies
   the six-entry wreath recursion closed under sections.
-* ``F_solution`` solves the resulting linear system for the parity
-  generating series over Z_2(t) and cross-checks the coefficients against
-  directly computed permutation signs.
+* ``F_solution`` takes the parity generating series as the characteristic
+  series of the six-state wreath machine over Z_2(t) and cross-checks the
+  coefficients against directly computed permutation signs.
 * ``lemma_transitive_check`` walks the dual orbit showing the state word
   action is transitive on reduced words ending in a or c.
 * ``aleshin_relation_check`` recovers the letter pairing under which each
@@ -29,7 +29,8 @@ import numpy as np
 
 from .automaton import Automaton, act_inf, builtin, dual, dual_act
 from .levels import _walk, all_level_maps, invert_perm
-from .ratfunc import Poly, RationalSeries, solve_linear
+from .ratfunc import RationalSeries
+from .transitivity import char_coeffs, char_rational
 from .words import EventuallyPeriodicWord
 
 UP, DOWN = "u", "d"
@@ -194,37 +195,17 @@ def _perm_parity(p: np.ndarray) -> int:
 
 
 def F_solution(direct_levels: int = 12, n_coeffs: int = 64) -> dict[str, RationalSeries]:
-    """Solve F_g = eps_g + t(F_{g at u} + F_{g at d}) over Z_2(t).
+    """The wreath automaton's characteristic series over Z_2(t), by key.
 
-    The k-th coefficient of F_g is the sign of g as a permutation of level
-    k+1.  Two independent cross-checks run before returning: the section
-    recursion driven to n_coeffs coefficients, and direct permutation
-    signs of the conjugated maps on levels <= direct_levels.
+    F_g = eps_g + t(F_{g at u} + F_{g at d}); its k-th coefficient is the
+    sign of g as a permutation of level k+1.  Two independent cross-checks
+    run before returning: the coefficient recursion to n_coeffs terms, and
+    direct permutation signs of the conjugated maps on levels <= direct_levels.
     """
-    one = RationalSeries.const(1, 2)
-    zero = RationalSeries.const(0, 2)
-    t = RationalSeries(Poly([0, 1], 2), Poly([1], 2))
-    A = [[zero] * 6 for _ in range(6)]
-    b = []
-    for i, key in enumerate(SIX):
-        eps, up, down = WREATH_TABLE[key]
-        A[i][i] = A[i][i] + one
-        for sec in (up, down):
-            j = SIX.index(sec)
-            A[i][j] = A[i][j] + t  # minus equals plus mod 2
-        b.append(one if eps else zero)
-    sol = dict(zip(SIX, solve_linear(A, b)))
-
-    # recursion cross-check: c_1 = eps, c_{k+1}(g) = c_k(g at u) + c_k(g at d)
-    c = {key: WREATH_TABLE[key][0] for key in SIX}
-    series = {key: [c[key]] for key in SIX}
-    for _ in range(n_coeffs - 1):
-        c = {key: c[WREATH_TABLE[key][1]] ^ c[WREATH_TABLE[key][2]] for key in SIX}
-        for key in SIX:
-            series[key].append(c[key])
+    W = wreath_automaton()
+    sol = {key: char_rational(W, key) for key in SIX}
     for key in SIX:
-        got = sol[key].coefficients(n_coeffs)
-        if got != series[key]:
+        if sol[key].coefficients(n_coeffs) != char_coeffs(W, key, n_coeffs):
             raise ValueError(f"series solution for {key} disagrees with the recursion")
 
     # ground truth: signs of the actual conjugated permutations

@@ -27,12 +27,13 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, table_space_size
-from .levels import _search_levels, is_single_cycle
+from .levels import _oversize, _search_levels, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, gap_series, write_gap_csv, write_gap_dat
 from .transitivity import cotransitivity, first_intransitive_level
 
 LONG_RUN_TABLES = 1 << 22
+DOT_VERTEX_CAP = 4096
 
 
 class UsageError(Exception):
@@ -64,12 +65,11 @@ def _write_heights(path: str, heights, args: argparse.Namespace, started: float)
 
 
 def _load(args: argparse.Namespace) -> Automaton:
-    name = args.builtin or args.automaton
-    if name and args.file:
+    if args.builtin and args.file:
         raise UsageError("give either --builtin or --file, not both")
-    if name:
+    if args.builtin:
         try:
-            return builtin(name)
+            return builtin(args.builtin)
         except KeyError as e:
             raise UsageError(str(e)) from None
     if args.file:
@@ -82,8 +82,8 @@ def _load(args: argparse.Namespace) -> Automaton:
 
 
 def _automaton_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--builtin", help="built-in automaton name")
-    p.add_argument("--automaton", help="alias for --builtin")
+    p.add_argument("--builtin", "--automaton", dest="builtin",
+                   help="built-in automaton name (--automaton is an alias)")
     p.add_argument("--file", help="load automaton from a table file")
 
 
@@ -113,10 +113,10 @@ def _cmd_act(args, started):
 
 def _cmd_schreier(args, started):
     M = _load(args)
+    if args.dot and (why := _oversize(M, args.level, DOT_VERTEX_CAP)):
+        raise UsageError(f"too large for DOT output: {why}")
     G = build(M, args.level)
     if args.dot:
-        if G.n_vertices > 4096:
-            raise UsageError(f"{G.n_vertices} vertices is too large for DOT output")
         lines = ["digraph schreier {"]
         for qi, q in enumerate(M.states):
             for v in range(G.n_vertices):

@@ -31,6 +31,9 @@ import numpy as np
 from .automaton import Automaton, _rows
 
 LEVEL_CAP = 1 << 24
+# entries of one whole |Q| x a^n level array: 256 MiB as int32, so machines
+# of up to four states reach LEVEL_CAP
+ARRAY_CAP = 1 << 26
 # maps up to this many points are walked: on a 2-vCPU x86 VM the two tie on
 # the adding machine's 2^11-point level map (158 and 154 us), and below it
 # first return, at 30-120 us, loses to the walk
@@ -64,19 +67,32 @@ def index_word(M: Automaton, v: int, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _oversize(M: Automaton, n: int, cap: int) -> str | None:
+    """Why level n of M is refused, or None: a row of more than cap points,
+    or more than ARRAY_CAP entries over all |Q| rows."""
+    a, nq = M.n_letters, M.n_states
+    # a**bit_length(cap) > cap for a >= 2, so a huge n never computes a huge a**n
+    size = a ** min(n, cap.bit_length())
+    if size > cap:
+        return f"level size {a}^{n} exceeds cap {cap}"
+    if nq * size > ARRAY_CAP:
+        return f"{nq} rows of level size {a}^{n} exceed {ARRAY_CAP} entries"
+    return None
+
+
 def _levels(M: Automaton, n: int, cap: int):
     """Level maps for levels 0..n in turn, each built from the one before.
 
     Every level uses the dtype of level n.  Only the level being built and
-    the one before it are held here.  ValueError for n below 0.
+    the one before it are held here.  ValueError for n below 0, MemoryError
+    for a level _oversize refuses.
     """
     a, nq = M.n_letters, M.n_states
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    # a**bit_length(cap) > cap for a >= 2, so a huge n never computes a huge a**n
-    size = a ** min(n, cap.bit_length())
-    if size > cap:
-        raise MemoryError(f"level size {a}^{n} exceeds cap {cap}")
+    if why := _oversize(M, n, cap):
+        raise MemoryError(why)
+    size = a**n
     dt = _dtype_for(size)
     P = np.zeros((nq, 1), dtype=dt)
     yield P
@@ -110,20 +126,20 @@ def all_level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> list[np.ndarra
 def _search_levels(M: Automaton, n: int):
     """Level maps for levels 1..n in turn, for a search that may stop early.
 
-    Unlike level_maps, a level above LEVEL_CAP raises MemoryError only when
-    the search asks for it, so a verdict reached below the cap still stands.
+    Unlike level_maps, a level _oversize refuses raises MemoryError only when
+    the search asks for it, so a verdict reached below the caps still stands.
     ValueError for n below 0.
     """
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    top = 0  # counting up keeps a huge n from building a huge a**n
-    while top < n and M.n_letters ** (top + 1) <= LEVEL_CAP:
+    top = 0
+    while top < n and not _oversize(M, top + 1, LEVEL_CAP):
         top += 1
     levels = _levels(M, top, LEVEL_CAP)
     next(levels)
     yield from levels
     if top < n:
-        raise MemoryError(f"level size {M.n_letters}^{top + 1} exceeds cap {LEVEL_CAP}")
+        raise MemoryError(_oversize(M, top + 1, LEVEL_CAP))
 
 
 def invert_perm(p: np.ndarray) -> np.ndarray:

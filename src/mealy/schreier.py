@@ -138,14 +138,13 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
 def _act_index(M: Automaton, row: int, v: int, n: int) -> int:
     """Image of the index-coded word v (length n) under one step-table row."""
     a = M.n_letters
-    steps = M.step_table()
-    out = 0
-    mult = 1
+    digits = []
     for _ in range(n):
-        y, row = steps[row][v % a]
-        out += y * mult
-        v //= a
-        mult *= a
+        v, x = divmod(v, a)
+        digits.append(x)
+    out = 0
+    for y in reversed(_run(M.step_table(), [row], digits)):
+        out = out * a + y
     return out
 
 

@@ -29,7 +29,7 @@ from .levels import (
     index_word,
     level_permutation,
 )
-from .ratfunc import Poly, RationalSeries, solve_linear
+from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
 
 # -- orbits on a level -------------------------------------------------------
@@ -167,18 +167,10 @@ def char_rational(M: Automaton, q: str) -> RationalSeries:
     k %= p
     T = _transition_count_matrix(M) % p
     nq = M.n_states
-    A = [
-        [
-            RationalSeries(
-                Poly([1 if i == j else 0, -int(T[i, j])], p), Poly([1], p)
-            )
-            for j in range(nq)
-        ]
-        for i in range(nq)
-    ]
-    b = [RationalSeries(Poly([int(k[i])], p), Poly([1], p)) for i in range(nq)]
-    sol = solve_linear(A, b)
-    return sol[M.state_index(q)]
+    A = [[RationalSeries.of([int(i == j), -int(T[i, j])], [1], p) for j in range(nq)]
+         for i in range(nq)]
+    b = [RationalSeries.const(int(c), p) for c in k]
+    return solve_linear(A, b)[M.state_index(q)]
 
 
 def _is_prime(n: int) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mealy import automaton
 from mealy.automaton import (
     Automaton,
     act,
@@ -279,3 +280,12 @@ def test_primed_letter_needs_invertible():
     for call in calls:
         with pytest.raises(ValueError):
             call()
+
+
+def test_affine_table_size_refused_before_building(monkeypatch):
+    with pytest.raises(ValueError, match="table cells"):
+        builtin("affine(300,301)")
+    monkeypatch.setattr(automaton, "AFFINE_CELL_CAP", 12)
+    assert builtin("affine(3,4)").n_states == 3
+    with pytest.raises(ValueError, match="14 table cells"):
+        builtin("affine(2,7)")

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mealy import bellaterra
 from mealy.automaton import act, builtin, dual_act, properties
 from mealy.bellaterra import (
     SIX,
@@ -91,6 +92,23 @@ def test_six_series_coefficients():
     assert F["b1b"].coefficients(6) == [1, 1, 1, 1, 1, 1]
     assert F["b0a"].coefficients(6) == [0, 1, 1, 1, 1, 1]
     assert F["a1c"].coefficients(6) == [1, 0, 0, 0, 0, 0]
+
+
+def test_F_solution_raises_when_a_cross_check_fails(monkeypatch):
+    # the recursion check compares against char_coeffs
+    monkeypatch.setattr(bellaterra, "char_coeffs", lambda M, q, N: [1] * N)
+    with pytest.raises(ValueError, match="recursion"):
+        F_solution(direct_levels=4, n_coeffs=16)
+    monkeypatch.undo()
+    # the permutation-sign check is independent of the series
+    monkeypatch.setattr(bellaterra, "_perm_parity", lambda p: 1)
+    with pytest.raises(ValueError, match="permutation signs"):
+        F_solution(direct_levels=4, n_coeffs=16)
+    monkeypatch.undo()
+    bad = {"equation": "b1b", "level": 1, "word": "u"}
+    monkeypatch.setattr(bellaterra, "_conjugated_maps", lambda n: ({}, [bad]))
+    with pytest.raises(ValueError, match="ill-defined"):
+        F_solution(direct_levels=4, n_coeffs=16)
 
 
 def test_lemma_transitive_small_levels():

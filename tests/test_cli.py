@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from mealy import cli
 from mealy.cli import main
 
 
@@ -108,6 +109,7 @@ def test_level_out_of_range_is_usage_error(args, capsys):
     ["verify", "preperiod", "--n", "-3"],
     ["verify", "bellaterra", "--lemma-n", "-2"],
     ["verify", "bellaterra", "--level", "-2"],
+    ["info", "--builtin", "affine(300,301)"],
 ])
 def test_size_without_an_answer_is_usage_error(args, capsys):
     assert run(args) == 2
@@ -153,6 +155,32 @@ def test_schreier_dot_export(tmp_path):
     text = dot.read_text()
     assert text.startswith("graph") or text.startswith("digraph")
     assert (tmp_path / "g.dot.manifest.json").exists()
+
+
+def test_schreier_dot_limit_checked_before_building(tmp_path, monkeypatch, capsys):
+    def build(*args, **kw):
+        raise AssertionError("graph built before the DOT limit was checked")
+
+    monkeypatch.setattr(cli, "build", build)
+    dot = tmp_path / "g.dot"
+    for level in ("13", "24", "1000000000"):
+        assert run(["schreier", "--builtin", "aleshin", "--level", level,
+                    "--dot", str(dot)]) == 2
+        assert "too large for DOT" in capsys.readouterr().err
+    assert not dot.exists()
+
+
+def test_automaton_is_a_second_spelling_of_builtin(capsys):
+    assert run(["info", "--builtin", "aleshin"]) == 0
+    aleshin = capsys.readouterr().out
+    assert run(["info", "--builtin", "bellaterra"]) == 0
+    bellaterra = capsys.readouterr().out
+    assert aleshin != bellaterra
+    assert run(["info", "--builtin", "bellaterra", "--automaton", "aleshin"]) == 0
+    assert capsys.readouterr().out == aleshin
+    assert run(["info", "--automaton", "aleshin", "--builtin", "bellaterra"]) == 0
+    assert capsys.readouterr().out == bellaterra
+    assert run(["info", "--automaton", "aleshin", "--file", "x.txt"]) == 2
 
 
 def test_transitive_subcommand(capsys):

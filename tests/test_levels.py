@@ -319,6 +319,22 @@ def test_huge_level_refused_before_sizing():
     assert peak < 1e6
 
 
+def test_array_cap_bounds_every_row_together(monkeypatch):
+    # 3 rows of 2^8 points fit, 3 rows of 2^9 do not, though 2^9 <= LEVEL_CAP
+    monkeypatch.setattr(levels, "ARRAY_CAP", 3 << 8)
+    assert level_maps(B, 8).shape == (3, 256)
+    with pytest.raises(MemoryError, match=r"3 rows of level size 2\^9"):
+        level_maps(B, 9)
+    with pytest.raises(MemoryError):
+        all_level_maps(B, 9)
+    # a search gets every level below the cap before it is refused
+    got = []
+    with pytest.raises(MemoryError, match=r"2\^9"):
+        for P in levels._search_levels(B, 12):
+            got.append(P.shape[1])
+    assert got == [2**k for k in range(1, 9)]
+
+
 def test_negative_level_refused():
     with pytest.raises(ValueError, match="below 0"):
         level_maps(B, -1)

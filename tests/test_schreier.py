@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy import schreier
-from mealy.automaton import Automaton, act, act_inf, builtin
-from mealy.levels import level_permutation
+from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin
+from mealy.levels import index_word, level_permutation, word_index
 from mealy.schreier import (
     EXACT_DIAMETER_CAP,
     LiftReport,
@@ -300,3 +300,16 @@ def test_level_edges_match_permutation_action():
     G = build(A, 6)
     for qi, q in enumerate(A.states):
         assert np.array_equal(G.perms[qi], level_permutation(A, q, 6))
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"]
+                         + ["affine(2,3)", "affine(3,4)"])
+def test_act_index_matches_act(name):
+    # rows 0..|Q|-1 are the states, |Q|..2|Q|-1 their inverses
+    M = builtin(name)
+    gens = [GroupWord([(q, s)]) for s in (1, -1) for q in M.states]
+    for row, w in enumerate(gens):
+        for n in range(7):
+            for v in range(M.n_letters**n):
+                want = word_index(M, act(M, w, index_word(M, v, n)))
+                assert schreier._act_index(M, row, v, n) == want, (row, v, n)

@@ -106,19 +106,14 @@ class Automaton:
         return self.alphabet[self.o[qi, xi]], self.states[self.t[qi, xi]]
 
     def is_invertible(self) -> bool:
-        nq, na = self.o.shape
-        return all(len(set(self.o[q])) == na for q in range(nq))
+        return bool(_are_perms(self.o[None])[0])
 
     def inv_out(self) -> np.ndarray:
         """Per-state inverse output: inv_out[q][y] = x with o[q][x] = y."""
         if self._inv_out is None:
             if not self.is_invertible():
                 raise ValueError("automaton is not invertible")
-            nq, na = self.o.shape
-            inv = np.empty_like(self.o)
-            cols = np.arange(na)
-            for q in range(nq):
-                inv[q, self.o[q]] = cols
+            inv = np.argsort(self.o, axis=1)
             inv.setflags(write=False)
             self._inv_out = inv
         return self._inv_out
@@ -357,10 +352,39 @@ class Properties:
         return f"Properties({flags})"
 
 
-def _is_cyclic(M: Automaton) -> bool:
-    if not M.is_invertible():
-        return False
-    return _least_full_cycle(M.o.tolist(), M.n_letters) is not None
+def _are_perms(X: np.ndarray) -> np.ndarray:
+    """Per i, whether every row X[i, j] of X (n, k, l) permutes range(l)."""
+    return (np.sort(X, axis=2) == np.arange(X.shape[2])).all(axis=(1, 2))
+
+
+def _cyclic_groups(G: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Per i where ok (False elsewhere), whether the permutations G[i] (k, l)
+    generate the group of one full l-cycle; one _least_full_cycle call per
+    distinct generator tuple."""
+    n, k, l = G.shape
+    out = np.zeros(n, dtype=bool)
+    if ok.any():
+        # each tuple as one opaque item, so np.unique sorts 1-d
+        X = np.ascontiguousarray(G[ok]).reshape(-1, k * l)
+        gens, which = np.unique(X.view(f"V{X.shape[1] * X.itemsize}").ravel(),
+                                return_inverse=True)
+        found = [_least_full_cycle(np.frombuffer(g, X.dtype).reshape(k, l).tolist(), l)
+                 is not None for g in gens.tolist()]
+        out[ok] = np.array(found, dtype=bool)[which.ravel()]
+    return out
+
+
+def _table_properties(T, O) -> np.ndarray:
+    """The properties flags of stacked (n, |Q|, |A|) tables T, O as an (n, 5)
+    array in Properties.__slots__ order.  The dual's output rows are the
+    columns of T; the inverse's transitions are t[q][sigma_q^{-1}(y)]."""
+    T, O = np.asarray(T), np.asarray(O)
+    Tc = T.transpose(0, 2, 1)
+    inv = _are_perms(O)
+    rev = _are_perms(Tc)
+    t_inv = np.take_along_axis(T, np.argsort(O, axis=2), axis=2)
+    bi = inv & rev & _are_perms(t_inv.transpose(0, 2, 1))
+    return np.stack([inv, rev, bi, _cyclic_groups(O, inv), _cyclic_groups(Tc, rev)], axis=1)
 
 
 def properties(M: Automaton) -> Properties:
@@ -370,16 +394,9 @@ def properties(M: Automaton) -> Properties:
     invertible.  bireversible: invertible, reversible, and the inverse is
     reversible.  cyclic: invertible with <sigma_q> equal to the group
     generated by a single full |A|-cycle.  cocyclic: the dual is cyclic.
+    The one-table case of _table_properties.
     """
-    inv = M.is_invertible()
-    D = dual(M)
-    rev = D.is_invertible()
-    bi = False
-    if inv and rev:
-        bi = dual(inverse(M)).is_invertible()
-    cyc = _is_cyclic(M)
-    cocyc = _is_cyclic(D)
-    return Properties(inv, rev, bi, cyc, cocyc)
+    return Properties(*map(bool, _table_properties(M.t[None], M.o[None])[0]))
 
 
 # -- automaton algebra -----------------------------------------------------
@@ -403,10 +420,7 @@ def inverse(M: Automaton) -> Automaton:
     States are renamed with a trailing apostrophe.
     """
     inv_o = M.inv_out()
-    nq = M.n_states
-    t = np.empty_like(M.t)
-    for q in range(nq):
-        t[q] = M.t[q, inv_o[q]]
+    t = np.take_along_axis(M.t, inv_o, axis=1)
     states = tuple(q + "'" for q in M.states)
     name = f"inverse({M.name})" if M.name else None
     return Automaton(states, M.alphabet, t, inv_o, name=name)

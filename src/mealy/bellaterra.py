@@ -30,7 +30,7 @@ import numpy as np
 from .automaton import Automaton, act_inf, builtin, dual, dual_act
 from .levels import _walk, all_level_maps, invert_perm
 from .ratfunc import RationalSeries
-from .transitivity import char_coeffs, char_rational
+from .transitivity import _char_rationals, char_coeffs
 from .words import EventuallyPeriodicWord
 
 UP, DOWN = "u", "d"
@@ -203,7 +203,8 @@ def F_solution(direct_levels: int = 12, n_coeffs: int = 64) -> dict[str, Rationa
     direct permutation signs of the conjugated maps on levels <= direct_levels.
     """
     W = wreath_automaton()
-    sol = {key: char_rational(W, key) for key in SIX}
+    chi = _char_rationals(W)
+    sol = {key: chi[W.state_index(key)] for key in SIX}
     for key in SIX:
         if sol[key].coefficients(n_coeffs) != char_coeffs(W, key, n_coeffs):
             raise ValueError(f"series solution for {key} disagrees with the recursion")

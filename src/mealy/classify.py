@@ -3,12 +3,13 @@
 Tables are enumerated with permutation output rows (so every table is
 invertible), reduced to one representative per relabeling class by one
 canonicalizer over stacked tables (the least byte string of cells
-output * |Q| + target over all state and letter permutations), and each
-class is pushed through the cotransitivity pipeline: an exact
-characteristic-series decision when the class is cocyclic, orbit
-refutation at low levels otherwise, and for the single undecided (3,2)
-class a conjugation into a cyclic automaton that the series criterion
-can decide.
+output * |Q| + target over all state and letter permutations), and the
+classes go through the cotransitivity pipeline as stacked (T, O) arrays:
+properties as array tests, orbit refutation of every dual state at low
+levels at once, and an Automaton only where a class needs one -- an exact
+characteristic-series decision when it is cocyclic, and for the single
+undecided (3,2) class a conjugation into a cyclic automaton that the
+series criterion can decide.
 """
 
 from __future__ import annotations
@@ -24,17 +25,19 @@ import numpy as np
 from .automaton import (
     Automaton,
     Properties,
+    _table_properties,
     builtin,
     dual,
-    inverse,
     minimize_map,
     product,
     properties,
 )
-from .transitivity import char_rational, cotransitivity, is_transitive_exact
+from .levels import _refute_dual
+from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_exact
 
 CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
+_COCYCLIC = Properties.__slots__.index("cocyclic")  # its column of _table_properties
 
 
 def _least_cells(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
@@ -96,6 +99,12 @@ def canonical_form(M: Automaton) -> bytes:
     q, a = M.n_states, M.n_letters
     T, O = np.asarray(M.t)[None], np.asarray(M.o)[None]
     return _key_bytes(_least_cells(T, O, q, a)[0], q, a)
+
+
+def _key_tables(keys: np.ndarray, q: int, a: int):
+    """Stacked (T, O) tables of _least_cells rows: cells % q and cells // q."""
+    cells = keys.astype(">u8").view(np.uint8)[:, : q * a].reshape(-1, q, a)
+    return cells % q, cells // q
 
 
 def from_canonical(key: bytes, name: str | None = None) -> Automaton:
@@ -220,17 +229,20 @@ def enumerate_classes(
     """
     keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)
     names, preds = _resolve_filters(filters)
-    for i in range(len(keys)):
-        if shard is not None and i % shard[1] != shard[0]:
-            continue
+    idx = _shard_rows(len(keys), shard)
+    if names:
+        flags = _table_properties(*_key_tables(keys[idx], q, a))
+        idx = idx[flags[:, [Properties.__slots__.index(nm) for nm in names]].all(axis=1)]
+    for i in idx.tolist():
         M = from_canonical(_key_bytes(keys[i], q, a), name=f"c{q}{a}-{i}")
-        if names:
-            p = properties(M)
-            if not all(getattr(p, nm) for nm in names):
-                continue
         if preds and not all(f(M) for f in preds):
             continue
         yield M
+
+
+def _shard_rows(n: int, shard: tuple[int, int] | None) -> np.ndarray:
+    """Class indices below n that shard=(i,k) keeps: those congruent to i mod k."""
+    return np.arange(n) if shard is None else np.arange(shard[0], n, shard[1])
 
 
 def conjugation_decide(M: Automaton) -> dict | None:
@@ -317,59 +329,60 @@ def classify_cotransitive(
 ) -> CensusReport:
     """Cotransitivity census over all invertible (q,a) classes.
 
-    jobs is the thread count of the key pass (see canonical_keys); the
-    per-class pipeline runs on the calling thread.
+    jobs is the thread count of the key pass (see canonical_keys).  The
+    classes then go through _table_properties and levels._refute_dual as
+    stacked tables on the calling thread; only cocyclic classes and
+    survivors become Automata, for the series criterion and conjugation.
     """
     rep = CensusReport(q, a, level_budget, shard=shard)
-    rep.counts = {nm: 0 for nm in Properties.__slots__}
-    cocyclic_keys = []
-    for M in enumerate_classes(q, a, batch_size=batch_size, cache_dir=cache_dir,
-                               shard=shard, jobs=jobs):
-        rep.classes_total += 1
-        p = properties(M)
-        for nm in Properties.__slots__:
-            if getattr(p, nm):
-                rep.counts[nm] += 1
-        if p.cocyclic:
-            cocyclic_keys.append(canonical_form(M))
-        v = cotransitivity(M, level_budget)
-        decided_by = "chi" if v.evidence.get("exact") else "orbit"
-        if v.kind == "unknown":
+    keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)
+    idx = _shard_rows(len(keys), shard)
+    T, O = _key_tables(keys[idx], q, a)
+    flags = _table_properties(T, O)
+    rep.classes_total = len(idx)
+    rep.counts = {nm: int(c) for nm, c in zip(Properties.__slots__, flags.sum(axis=0))}
+    cocyclic = flags[:, _COCYCLIC]
+    fail = np.zeros((len(idx), a), dtype=np.int64)
+    fail[~cocyclic] = _refute_dual(T[~cocyclic], O[~cocyclic], level_budget)
+    # the level each class is refuted at; 0 while undecided or cotransitive
+    level = np.where(fail.all(axis=1), fail.max(axis=1), 0)
+    for r in np.flatnonzero(level == 0).tolist():
+        M = from_canonical(_key_bytes(keys[idx[r]], q, a), name=f"c{q}{a}-{idx[r]}")
+        if cocyclic[r]:
+            v = cotransitivity(M, level_budget)
+            decided_by = "chi"
+        else:
             conj = conjugation_decide(M)
-            if conj is not None:
-                v = type(v)("yes", witness=conj["dual_state"], evidence={"conjugation": True})
-                decided_by = "conjugation"
+            v = Verdict("unknown") if conj is None else Verdict("yes", witness=conj["dual_state"])
+            decided_by = "conjugation"
         if v.kind == "yes":
-            rep.cotransitive_yes += 1
-            rep.witnesses.append(
-                {
-                    "name": M.name,
-                    "table": M.to_text(),
-                    "decided_by": decided_by,
-                    "dual_state": str(v.witness),
-                    "cocyclic": bool(p.cocyclic),
-                }
-            )
+            rep.witnesses.append({"name": M.name, "table": M.to_text(), "decided_by": decided_by,
+                                  "dual_state": str(v.witness), "cocyclic": bool(cocyclic[r])})
         elif v.kind == "no":
-            rep.cotransitive_no += 1
-            lvl = int(v.level)
-            rep.refutation_levels[lvl] = rep.refutation_levels.get(lvl, 0) + 1
+            level[r] = v.level
         else:
             rep.cotransitive_unknown += 1
+    rep.cotransitive_yes = len(rep.witnesses)
+    for lvl in level[level > 0].tolist():
+        rep.cotransitive_no += 1
+        rep.refutation_levels[lvl] = rep.refutation_levels.get(lvl, 0) + 1
     if (q, a) == (3, 2) and shard is None:
-        _attach_cocyclic_summary(rep, cocyclic_keys)
+        _attach_cocyclic_summary(rep, keys[idx[cocyclic]])
     rep.check()
     return rep
 
 
-def _attach_cocyclic_summary(rep: CensusReport, cocyclic_keys: list[bytes]) -> None:
+def _attach_cocyclic_summary(rep: CensusReport, cocyclic_keys: np.ndarray) -> None:
+    """Cocyclic head counts from the _least_cells rows of the cocyclic classes."""
+    q, a = rep.q, rep.a
     rep.cocyclic_classes = len(cocyclic_keys)
-    rep.cocyclic_raw, rep.cocyclic_state_classes = _raw_cocyclic_counts(rep.q, rep.a)
-    merged = set()
-    for key in cocyclic_keys:
-        ik = canonical_form(inverse(from_canonical(key)))
-        merged.add(min(key, ik))
-    rep.cocyclic_inverse_classes = len(merged)
+    rep.cocyclic_raw, rep.cocyclic_state_classes = _raw_cocyclic_counts(q, a)
+    # the inverse of (t, o) has outputs o^{-1} and transitions t[q][o^{-1}[q]]
+    T, O = _key_tables(cocyclic_keys, q, a)
+    o_inv = np.argsort(O, axis=2)
+    inv_keys = _least_cells(np.take_along_axis(T, o_inv, axis=2), o_inv, q, a)
+    rep.cocyclic_inverse_classes = len({min(_key_bytes(k, q, a), _key_bytes(ik, q, a))
+                                        for k, ik in zip(cocyclic_keys, inv_keys)})
 
 
 def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
@@ -378,12 +391,10 @@ def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
     The state-renaming count (letters kept fixed, inverses kept separate)
     is the convention under which the (3,2) count is 16.
     """
-    N = table_space_size(q, a)
-    T, O = _raw_batch(q, a, 0, N)
-    states, letters = [f"s{k}" for k in range(q)], [str(j) for j in range(a)]
-    hit = [i for i in range(N) if properties(Automaton(states, letters, T[i], O[i])).cocyclic]
+    T, O = _raw_batch(q, a, 0, table_space_size(q, a))
+    hit = _table_properties(T, O)[:, _COCYCLIC]
     state_keys = _unique_rows(_least_cells(T[hit], O[hit], q, a, letters=False))
-    return len(hit), len(state_keys)
+    return int(hit.sum()), len(state_keys)
 
 
 def merge_reports(reports: list[CensusReport]) -> CensusReport:
@@ -409,10 +420,8 @@ def merge_reports(reports: list[CensusReport]) -> CensusReport:
     # shards skip the cocyclic head count; the merged report covers the
     # whole space again, so recompute it here
     if (out.q, out.a) == (3, 2):
-        keys = [
-            canonical_form(M)
-            for M in enumerate_classes(out.q, out.a, filters=("cocyclic",))
-        ]
-        _attach_cocyclic_summary(out, keys)
+        keys = canonical_keys(out.q, out.a)
+        cocyclic = _table_properties(*_key_tables(keys, out.q, out.a))[:, _COCYCLIC]
+        _attach_cocyclic_summary(out, keys[cocyclic])
     out.check()
     return out

@@ -113,7 +113,7 @@ def _cmd_act(args, started):
 
 def _cmd_schreier(args, started):
     M = _load(args)
-    if args.dot and (why := _oversize(M, args.level, DOT_VERTEX_CAP)):
+    if args.dot and (why := _oversize(M.t.shape, args.level, DOT_VERTEX_CAP)):
         raise UsageError(f"too large for DOT output: {why}")
     G = build(M, args.level)
     if args.dot:

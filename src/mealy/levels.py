@@ -39,9 +39,9 @@ ARRAY_CAP = 1 << 26
 # first return, at 30-120 us, loses to the walk
 WALK_CUTOFF = 2048
 MAX_DIVISOR = 16  # largest fiber size tried by first return
-# maps up to this many points have their image taken as a Python set: at 4
-# points that is 0.8 us against 4 us for numpy's calls, and the two tie at 64
-_SET_CUTOFF = 64
+# fewer rows than this are walked one by one: a step of the stacked walk
+# costs about 3 us whatever the row count, a Python walk about 0.1 us a point
+_STACK_ROWS = 32
 _PROBE_ROWS = 64
 _BLOCK_ROWS = 1 << 14
 
@@ -58,19 +58,24 @@ def word_index(M: Automaton, s) -> int:
     return v
 
 
-def index_word(M: Automaton, v: int, n: int) -> tuple[str, ...]:
-    a = M.n_letters
+def _digits(v: int, a: int, n: int) -> list[int]:
+    """The n letter indices of the index-coded word v, first-read first."""
     out = []
     for _ in range(n):
-        out.append(M.alphabet[v % a])
-        v //= a
-    return tuple(out)
+        v, x = divmod(v, a)
+        out.append(x)
+    return out
 
 
-def _oversize(M: Automaton, n: int, cap: int) -> str | None:
-    """Why level n of M is refused, or None: a row of more than cap points,
-    or more than ARRAY_CAP entries over all |Q| rows."""
-    a, nq = M.n_letters, M.n_states
+def index_word(M: Automaton, v: int, n: int) -> tuple[str, ...]:
+    return tuple(M.alphabet[x] for x in _digits(v, M.n_letters, n))
+
+
+def _oversize(shape: tuple[int, int], n: int, cap: int) -> str | None:
+    """Why level n of a machine of table shape (|Q|, a) is refused, or None:
+    a row of more than cap points, or more than ARRAY_CAP entries over all
+    |Q| rows."""
+    nq, a = shape
     # a**bit_length(cap) > cap for a >= 2, so a huge n never computes a huge a**n
     size = a ** min(n, cap.bit_length())
     if size > cap:
@@ -90,21 +95,31 @@ def _levels(M: Automaton, n: int, cap: int):
     a, nq = M.n_letters, M.n_states
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    if why := _oversize(M, n, cap):
+    if why := _oversize(M.t.shape, n, cap):
         raise MemoryError(why)
-    size = a**n
-    dt = _dtype_for(size)
-    P = np.zeros((nq, 1), dtype=dt)
-    yield P
-    o = M.o.astype(dt)
-    t = M.t
-    for k in range(1, n + 1):
-        new = np.empty((nq, a**k), dtype=dt)
-        for q in range(nq):
-            for x in range(a):
-                new[q, x::a] = o[q, x] + a * P[t[q, x]]
-        P = new
-        yield P
+    dt = _dtype_for(a**n)
+    P = np.zeros((1, nq, 1), dtype=dt)
+    yield P[0]
+    o, t = M.o.astype(dt)[None], M.t[None]
+    for _ in range(n):
+        P = _level_step(o, t, P)
+        yield P[0]
+
+
+def _level_step(o: np.ndarray, t: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The one level-map recursion, for m stacked (|Q|, a) tables o, t and
+    their level maps P (m, |Q|, a^k): words with first letter x map through
+    state q as output digit o[q][x] plus a times the map of t[q][x]."""
+    m, nq, a = o.shape
+    new = np.empty((m, nq, a * P.shape[2]), dtype=P.dtype)
+    r = np.arange(m)
+    for q in range(nq):
+        for x in range(a):
+            s = t[:, q, x]
+            # one target for every row, as always for one table: a view, no copy
+            src = P[:, s[0]] if (s == s[0]).all() else P[r, s]
+            new[:, q, x::a] = o[:, q, x, None] + a * src
+    return new
 
 
 def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
@@ -132,14 +147,60 @@ def _search_levels(M: Automaton, n: int):
     """
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    top = 0
-    while top < n and not _oversize(M, top + 1, LEVEL_CAP):
-        top += 1
+    top = _top_level(M.t.shape, n)
     levels = _levels(M, top, LEVEL_CAP)
     next(levels)
     yield from levels
     if top < n:
-        raise MemoryError(_oversize(M, top + 1, LEVEL_CAP))
+        raise MemoryError(_oversize(M.t.shape, top + 1, LEVEL_CAP))
+
+
+def _top_level(shape: tuple[int, int], n: int) -> int:
+    """The highest level up to n that _oversize lets a search build."""
+    top = 0
+    while top < n and not _oversize(shape, top + 1, LEVEL_CAP):
+        top += 1
+    return top
+
+
+def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
+    """Per stacked (m, |Q|, |A|) table T, O and dual state x, the first level
+    where x has no spanning orbit, or 0 if it spans up to budget: (m, |A|).
+
+    Dual state x of table i maps level k as new[i, x, s::q] = T[i, s, x] +
+    q * P[i, O[i, s, x]] (_level_step on the swapped tables).  Tables with a
+    state alive go on to the next level, in chunks of at most ARRAY_CAP
+    level entries.  Errors as in _search_levels: a refused level raises
+    MemoryError only when a table reaches it with a state alive.
+    """
+    m, q, a = T.shape
+    if budget < 0:
+        raise ValueError(f"level {budget} is below 0")
+    top = _top_level((a, q), budget)
+    dt = _dtype_for(q**top)
+    o = np.asarray(T, dtype=dt).transpose(0, 2, 1)
+    t = np.asarray(O, dtype=np.intp).transpose(0, 2, 1)
+    fail = np.zeros((m, a), dtype=np.int64)
+    # (rows, their level k-1 maps, k), taken depth first; level 0 takes no memory
+    todo = [(np.arange(m), np.broadcast_to(np.zeros(1, dt), (m, a, 1)), 1)] if budget and m else []
+    while todo:
+        rows, P, k = todo.pop()
+        if k > top:
+            raise MemoryError(_oversize((a, q), k, LEVEL_CAP))
+        step = max(1, ARRAY_CAP // (a * q**k))
+        if len(rows) > step:
+            todo += [(rows[i:i + step], P[i:i + step], k) for i in range(0, len(rows), step)]
+            continue
+        new = _level_step(o[rows], t[rows], P)
+        f = fail[rows]
+        live = f == 0
+        F = new.reshape(-1, new.shape[2])
+        f[live] = np.where(has_spanning_orbit(F if live.all() else F[live.ravel()]), 0, k)
+        fail[rows] = f
+        keep = (f == 0).any(axis=1)
+        if k < budget and keep.any():
+            todo.append((rows[keep], new if keep.all() else new[keep], k + 1))
+    return fail
 
 
 def invert_perm(p: np.ndarray) -> np.ndarray:
@@ -183,25 +244,51 @@ def _walk(F, v: int, seen: bytearray) -> int:
     return n
 
 
-def _image_gaps(F: np.ndarray) -> tuple[int, int] | None:
-    """(how many points of range(len(F)) lie outside the image of F, the
-    least of them or -1); None when F is not a map into range(len(F))."""
-    N = len(F)
-    if N <= _SET_CUTOFF:
-        L = F.tolist()
-        if L and not (0 <= min(L) and max(L) < N):
-            return None
-        image = set(L)
-        gaps = N - len(image)
-        return gaps, (next(v for v in range(N) if v not in image) if gaps else -1)
+def _image_gaps(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the 2-d array F (m, N): how many points of range(N)
+    lie outside its image, -1 when the row is not a map into range(N); and
+    the least of them, 0 when there is none."""
+    m, N = F.shape
+    gaps = np.full(m, -1, dtype=np.intp)
+    first = np.zeros(m, dtype=np.intp)
     # a negative value reads as a huge one in the unsigned view, so one max
     # bounds both sides; the mark takes one byte per point
-    if F.view(f"u{F.itemsize}").max() >= N:
-        return None
-    mark = np.zeros(N, dtype=bool)
-    mark[F] = True
-    gaps = N - np.count_nonzero(mark)
-    return gaps, (int(mark.argmin()) if gaps else -1)
+    rows = np.flatnonzero(F.view(f"u{F.itemsize}").max(axis=1, initial=0) < max(N, 1))
+    gaps[rows] = 0
+    if N > WALK_CUTOFF:
+        # few big rows: a 1-d mark per row scatters faster than a 2-d one
+        for i in rows:
+            mark = np.zeros(N, dtype=bool)
+            mark[F[i]] = True
+            gaps[i], first[i] = N - np.count_nonzero(mark), mark.argmin()
+    elif N:
+        mark = np.zeros((len(rows), N), dtype=bool)
+        mark[np.arange(len(rows))[:, None], F[rows]] = True
+        gaps[rows] = N - np.count_nonzero(mark, axis=1)
+        first[rows] = mark.argmin(axis=1)
+    return gaps, first
+
+
+def _walk_rows(F: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Whether the walk from start[i] under row i of F (m, N) meets all N
+    points before any twice, for all rows at once: one flat map, point v of
+    row i at i*N + v, drops each walk that meets a marked point."""
+    m, N = F.shape
+    base = np.arange(m, dtype=_dtype_for(m * N)) * N
+    nxt = (F + base[:, None]).ravel()
+    pos = start + base
+    seen = np.zeros(m * N, dtype=bool)
+    for _ in range(N):
+        hit = seen[pos]
+        if hit.any():
+            pos = pos[~hit]
+            if not len(pos):
+                break
+        seen[pos] = True
+        pos = nxt[pos]
+    out = np.zeros(m, dtype=bool)
+    out[pos // N] = True
+    return out
 
 
 def _compatible(p: np.ndarray, d: int) -> bool:
@@ -241,23 +328,32 @@ def is_single_cycle(p: np.ndarray) -> bool:
     permutation, tree map or not.
     """
     p = np.asarray(p)
-    gaps = _image_gaps(p)
-    return gaps is not None and gaps[0] == 0 and _one_cycle(p)
+    return bool(_image_gaps(p[None])[0][0] == 0) and _one_cycle(p)
 
 
-def has_spanning_orbit(F: np.ndarray) -> bool:
+def has_spanning_orbit(F: np.ndarray):
     """Whether some point's forward orbit under the map F covers everything.
 
-    For a permutation this means a single cycle, decided as in
-    is_single_cycle.  A non-bijective map can still span (a tail leading
-    into a cycle), but only if exactly one point is outside the image; the
-    covering orbit must start there.  False when F is not a map into
-    range(len(F)).
+    For a permutation this means a single cycle.  A non-bijective map can
+    still span (a tail leading into a cycle), but only if exactly one point
+    is outside the image; the covering orbit must start there.  False when
+    F is not a map into range(len(F)).  A 2-d F (m, N) is m maps and gets m
+    answers: up to WALK_CUTOFF points and from _STACK_ROWS rows on, every
+    row is walked at once, from 0 or from its gap; otherwise each row is
+    decided as in is_single_cycle or walked alone.  A 1-d F is the one-row
+    case.
     """
     F = np.asarray(F)
-    gaps = _image_gaps(F)
-    if gaps is None or gaps[0] > 1:
-        return False
-    if gaps[0] == 0:
-        return _one_cycle(F)
-    return _walk(memoryview(F), gaps[1], bytearray(len(F))) == len(F)
+    if F.ndim == 1:
+        return bool(has_spanning_orbit(F[None])[0])
+    m, N = F.shape
+    gaps, first = _image_gaps(F)
+    rows = np.flatnonzero((gaps == 0) | (gaps == 1))
+    out = np.zeros(m, dtype=bool)
+    if N <= WALK_CUTOFF and len(rows) >= _STACK_ROWS:
+        out[rows] = _walk_rows(F[rows], first[rows])
+    else:
+        for i in rows:
+            out[i] = (_one_cycle(F[i]) if gaps[i] == 0
+                      else _walk(memoryview(F[i]), first[i], bytearray(N)) == N)
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .automaton import Automaton, _rows, _run, act, group_section
-from .levels import LEVEL_CAP, invert_perm, level_maps, word_index
+from .levels import LEVEL_CAP, _digits, invert_perm, level_maps, word_index
 from .words import GroupWord
 
 EXACT_DIAMETER_CAP = 1 << 14
@@ -135,17 +135,18 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
 # -- implicit word walks ------------------------------------------------------
 
 
+def _act_digits(steps, row: int, digits: list[int], a: int) -> int:
+    """Index of the image of the letter indices digits under one step-table row."""
+    out = 0
+    for y in reversed(_run(steps, [row], digits)):
+        out = out * a + y
+    return out
+
+
 def _act_index(M: Automaton, row: int, v: int, n: int) -> int:
     """Image of the index-coded word v (length n) under one step-table row."""
     a = M.n_letters
-    digits = []
-    for _ in range(n):
-        v, x = divmod(v, a)
-        digits.append(x)
-    out = 0
-    for y in reversed(_run(M.step_table(), [row], digits)):
-        out = out * a + y
-    return out
+    return _act_digits(M.step_table(), row, _digits(v, a, n), a)
 
 
 def _word_bfs(M: Automaton, x: str, L: int, rounds: int):
@@ -157,7 +158,7 @@ def _word_bfs(M: Automaton, x: str, L: int, rounds: int):
     tried before its inverse, an order that decides which witness
     find_level_witness returns.
     """
-    nq = M.n_states
+    nq, a, steps = M.n_states, M.n_letters, M.step_table()
     v0 = word_index(M, (x,) * L)
     gens = [(qi + off, (q, s)) for qi, q in enumerate(M.states) for s, off in ((1, 0), (-1, nq))]
     seen = {v0}
@@ -166,8 +167,9 @@ def _word_bfs(M: Automaton, x: str, L: int, rounds: int):
     for _ in range(rounds):
         nxt = []
         for v in frontier:
+            digits = _digits(v, a, L)
             for row, letter in gens:
-                u = _act_index(M, row, v, L)
+                u = _act_digits(steps, row, digits, a)
                 if u not in seen:
                     seen.add(u)
                     yield u, v, letter

@@ -20,15 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .automaton import Automaton, _is_cyclic, _least_full_cycle, _run, dual
-from .levels import (
-    LEVEL_CAP,
-    _search_levels,
-    _walk,
-    has_spanning_orbit,
-    index_word,
-    level_permutation,
-)
+from .automaton import Automaton, _least_full_cycle, _run, dual, properties
+from .levels import LEVEL_CAP, _digits, _refute_dual, _walk, index_word, level_permutation
 from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
 
@@ -56,15 +49,8 @@ class OrbitReport:
 
     def representatives(self) -> list[tuple[str, ...]]:
         a = len(self.alphabet)
-        out = []
-        for v in self.rep_indices:
-            v = int(v)
-            word = []
-            for _ in range(self.level):
-                word.append(self.alphabet[v % a])
-                v //= a
-            out.append(tuple(word))
-        return out
+        return [tuple(self.alphabet[x] for x in _digits(int(v), a, self.level))
+                for v in self.rep_indices]
 
     def csv_row(self) -> str:
         return f"{self.level},{self.orbit_count()},{self.max_orbit()},{str(self.transitive).lower()}"
@@ -160,6 +146,11 @@ def char_rational(M: Automaton, q: str) -> RationalSeries:
 
     Solves (I - tT) chi = k by Gaussian elimination over the fraction field.
     """
+    return _char_rationals(M)[M.state_index(q)]
+
+
+def _char_rationals(M: Automaton) -> list[RationalSeries]:
+    """chi(q) for every state q, in state order, from one solve."""
     k = _exponents(M)
     p = M.n_letters
     if not _is_prime(p):
@@ -170,7 +161,7 @@ def char_rational(M: Automaton, q: str) -> RationalSeries:
     A = [[RationalSeries.of([int(i == j), -int(T[i, j])], [1], p) for j in range(nq)]
          for i in range(nq)]
     b = [RationalSeries.const(int(c), p) for c in k]
-    return solve_linear(A, b)[M.state_index(q)]
+    return solve_linear(A, b)
 
 
 def _is_prime(n: int) -> bool:
@@ -248,33 +239,28 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
 
     Exact when M is cocyclic (characteristic-series criterion on the dual);
     otherwise levels 1..budget are searched for refutations of every dual
-    state, and the verdict is unknown if some state survives.
+    state (levels._refute_dual on this one table), and the verdict is
+    unknown if some state survives.
     """
     if not M.is_invertible():
         raise ValueError("cotransitivity assumes an invertible automaton")
-    D = dual(M)
-    if _is_cyclic(D):
+    if properties(M).cocyclic:
+        D = dual(M)
         bad = dict(zip(D.states, _first_bad_levels(D)))
         for x, n in bad.items():
             if n is None:
                 return Verdict("yes", witness=x, evidence={"exact": True})
         return Verdict("no", level=max(bad.values()), evidence={"first_bad_level": bad, "exact": True})
-    evidence = {}
-    alive = list(range(D.n_states))
-    for n, P in enumerate(_search_levels(D, level_budget), start=1):
-        still = []
-        for xi in alive:
-            if has_spanning_orbit(P[xi]):
-                still.append(xi)
-            else:
-                evidence[D.states[xi]] = n
-        alive = still
-        if not alive:
-            return Verdict("no", level=n, evidence={"first_bad_level": evidence, "exact": False})
+    fail = _refute_dual(M.t[None], M.o[None], level_budget)[0].tolist()
+    # dual states in the order they fell, level by level
+    evidence = {M.alphabet[x]: n for n, x in sorted((n, x) for x, n in enumerate(fail) if n)}
+    if all(fail):
+        return Verdict("no", level=max(fail), evidence={"first_bad_level": evidence, "exact": False})
     return Verdict(
         "unknown",
         level=level_budget,
-        evidence={"surviving_states": [D.states[xi] for xi in alive], "first_bad_level": evidence},
+        evidence={"surviving_states": [M.alphabet[x] for x, n in enumerate(fail) if not n],
+                  "first_bad_level": evidence},
     )
 
 

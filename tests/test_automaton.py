@@ -19,6 +19,7 @@ from mealy.automaton import (
     relabel,
     union,
 )
+from mealy.classify import _raw_batch, table_space_size
 from mealy.levels import level_permutation
 from mealy.words import EventuallyPeriodicWord, GroupWord
 
@@ -289,3 +290,47 @@ def test_affine_table_size_refused_before_building(monkeypatch):
     assert builtin("affine(3,4)").n_states == 3
     with pytest.raises(ValueError, match="14 table cells"):
         builtin("affine(2,7)")
+
+
+def _properties_oracle(M):
+    """The five flags by definition: duals, inverses and generated groups
+    built one automaton at a time."""
+
+    def cyclic(X):
+        return X.is_invertible() and automaton._least_full_cycle(X.o.tolist(), X.n_letters) is not None
+
+    D = dual(M)
+    inv, rev = M.is_invertible(), D.is_invertible()
+    bi = inv and rev and dual(inverse(M)).is_invertible()
+    return inv, rev, bi, cyclic(M), cyclic(D)
+
+
+def _any_tables(q, a):
+    """(T, O) for (q, a) tables with any outputs, invertible or not: every
+    one when there are at most 4 cells, else 2,000 seeded random ones."""
+    if q * a <= 4:
+        grid = np.meshgrid(*[range(q * a)] * (q * a), indexing="ij")
+        cells = np.array(grid).reshape(q * a, -1).T
+    else:
+        cells = np.random.default_rng(7).integers(0, q * a, size=(2000, q * a))
+    cells = cells.reshape(-1, q, a)
+    return cells % q, cells // q
+
+
+@pytest.mark.parametrize("q,a", [(2, 2), (3, 2), (2, 3), (1, 3)])
+def test_table_properties_match_definition_oracle(q, a):
+    T, O = _raw_batch(q, a, 0, table_space_size(q, a))  # every invertible table
+    T2, O2 = _any_tables(q, a)
+    T, O = np.concatenate([T, T2]), np.concatenate([O, O2])
+    flags = automaton._table_properties(T, O)
+    states, letters = [f"s{k}" for k in range(q)], [str(x) for x in range(a)]
+    seen = set()
+    for i in range(len(T)):
+        M = Automaton(states, letters, T[i], O[i])
+        want = _properties_oracle(M)
+        assert tuple(flags[i]) == want, (T[i].tolist(), O[i].tolist())
+        if i % 16 == 0:  # the one-table case
+            assert tuple(properties(M).as_dict().values()) == want
+        seen.add(want)
+    # with two or more states, both values of every flag occur
+    assert q == 1 or all({f[k] for f in seen} == {False, True} for k in range(5))

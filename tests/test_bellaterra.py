@@ -4,7 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy import bellaterra
+from mealy import bellaterra, transitivity
 from mealy.automaton import act, builtin, dual_act, properties
 from mealy.bellaterra import (
     SIX,
@@ -92,6 +92,14 @@ def test_six_series_coefficients():
     assert F["b1b"].coefficients(6) == [1, 1, 1, 1, 1, 1]
     assert F["b0a"].coefficients(6) == [0, 1, 1, 1, 1, 1]
     assert F["a1c"].coefficients(6) == [1, 0, 0, 0, 0, 0]
+
+
+def test_F_solution_solves_the_system_once(monkeypatch):
+    calls = []
+    solve = transitivity.solve_linear
+    monkeypatch.setattr(transitivity, "solve_linear", lambda A, b: calls.append(1) or solve(A, b))
+    F = F_solution(direct_levels=4, n_coeffs=16)
+    assert len(calls) == 1 and len(F) == 6
 
 
 def test_F_solution_raises_when_a_cross_check_fails(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy import classify
+from mealy import classify, levels
 from mealy.automaton import Automaton, builtin, inverse, properties, relabel
 from mealy.classify import (
     CensusReport,
@@ -22,7 +22,7 @@ from mealy.classify import (
     merge_reports,
     table_space_size,
 )
-from mealy.transitivity import char_coeffs, is_transitive_exact
+from mealy.transitivity import char_coeffs, cotransitivity, is_transitive_exact
 
 
 # independent class-count oracle: Burnside over state x letter renamings,
@@ -305,3 +305,62 @@ def test_census_counts_are_internally_consistent():
     r = classify_cotransitive(2, 2)
     assert r.cotransitive_yes + r.cotransitive_no + r.cotransitive_unknown == r.classes_total
     assert sum(r.refutation_levels.values()) == r.cotransitive_no
+
+
+def _census_class_by_class(q, a, budget):
+    """(counts, yes/no/unknown, refutation levels, witnesses) of the census
+    by the per-class route: one automaton, properties and cotransitivity
+    verdict per class."""
+    counts = Counter()
+    kinds = Counter()
+    refuted, witnesses = {}, []
+    for M in enumerate_classes(q, a):
+        p = properties(M)
+        counts.update(nm for nm, v in p.as_dict().items() if v)
+        v = cotransitivity(M, budget)
+        decided_by = "chi" if v.evidence.get("exact") else "orbit"
+        if v.kind == "unknown" and (conj := conjugation_decide(M)) is not None:
+            v.kind, v.witness, decided_by = "yes", conj["dual_state"], "conjugation"
+        kinds[v.kind] += 1
+        if v.kind == "no":
+            refuted[v.level] = refuted.get(v.level, 0) + 1
+        if v.kind == "yes":
+            witnesses.append({"name": M.name, "table": M.to_text(), "decided_by": decided_by,
+                              "dual_state": str(v.witness), "cocyclic": p.cocyclic})
+    return counts, (kinds["yes"], kinds["no"], kinds["unknown"]), refuted, witnesses
+
+
+@pytest.mark.parametrize("q,a,budget", [(2, 2, 4), (3, 2, 4), (2, 3, 3), (3, 2, 2)])
+def test_census_matches_class_by_class_route(q, a, budget):
+    r = classify_cotransitive(q, a, level_budget=budget)
+    counts, verdicts, refuted, witnesses = _census_class_by_class(q, a, budget)
+    assert r.counts == {nm: counts[nm] for nm in r.counts}
+    assert (r.cotransitive_yes, r.cotransitive_no, r.cotransitive_unknown) == verdicts
+    # the same levels in the order the classes first meet them
+    assert list(r.refutation_levels.items()) == list(refuted.items())
+    assert r.witnesses == witnesses
+
+
+def test_census_builds_automata_only_where_needed(monkeypatch):
+    # one automaton per cocyclic class and per survivor of the refutation
+    built = []
+    decode = classify.from_canonical
+
+    def counting(key, name=None):
+        built.append(name)
+        return decode(key, name)
+
+    monkeypatch.setattr(classify, "from_canonical", counting)
+    r = classify_cotransitive(3, 2)
+    assert len(built) <= 25
+    monkeypatch.undo()
+    cocyclic = [M.name for M in enumerate_classes(3, 2, filters=("cocyclic",))]
+    survivors = [w["name"] for w in r.witnesses if w["decided_by"] == "conjugation"]
+    assert sorted(built) == sorted(cocyclic + survivors) and len(built) == 13
+
+
+def test_census_unchanged_when_array_cap_forces_chunks(monkeypatch):
+    want = classify_cotransitive(3, 2).to_json()
+    # one (3,2) table's dual level 4 is 2 * 3^4 entries
+    monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**4)
+    assert classify_cotransitive(3, 2).to_json() == want

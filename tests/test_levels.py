@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mealy import levels
 from mealy.automaton import BUILTIN_NAMES, Automaton, act, builtin, dual
+from mealy.classify import _key_tables, canonical_keys
 from mealy.levels import (
     LEVEL_CAP,
     WALK_CUTOFF,
@@ -340,3 +341,117 @@ def test_negative_level_refused():
         level_maps(B, -1)
     with pytest.raises(ValueError, match="below 0"):
         all_level_maps(A, -3)
+
+
+def _random_map(rng, N, kind):
+    """A seeded map of N points: a permutation, one N-cycle, a tail into a
+    cycle, one or two image gaps, or an entry out of range."""
+    order = rng.permutation(N)
+    F = order.copy()
+    if kind in ("cycle", "tail"):
+        F[order] = np.roll(order, -1)
+    if kind == "tail" and N > 1:
+        # order[0] leaves the image: a tail into the cycle
+        F[order[-1]] = order[rng.integers(1, N)]
+    if kind in ("one_gap", "two_gaps") and N > 3:
+        pts = rng.permutation(N)
+        F[pts[0]] = F[pts[1]]
+        if kind == "two_gaps":
+            F[pts[2]] = F[pts[3]]
+    if kind == "high":
+        F[rng.integers(N)] += N
+    if kind == "negative":
+        F[rng.integers(N)] = -rng.integers(1, N + 1)
+    return F
+
+
+def _spans_by_walk(F):
+    """The spanning answer of _walk_oracle, False for a map out of range."""
+    return all(0 <= v < len(F) for v in F.tolist()) and _walk_oracle(F)[0]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 9, 64, 255, WALK_CUTOFF, WALK_CUTOFF + 1, 4096])
+def test_stacked_spanning_matches_walk_oracle(N):
+    rng = np.random.default_rng(N)
+    kinds = ["perm", "cycle", "tail", "one_gap", "two_gaps", "high", "negative"]
+    answers = set()
+    # enough rows for the stacked walk, and a few for the walk row by row
+    for m in (2 * levels._STACK_ROWS, 3):
+        F = np.array([_random_map(rng, N, kinds[i % len(kinds)]) for i in range(m)])
+        want = [_spans_by_walk(row) for row in F]
+        answers.update(want)
+        for dtype in (np.int32, np.int64):
+            got = has_spanning_orbit(F.astype(dtype))
+            assert got.dtype == bool and got.tolist() == want
+        # a strided view, and the 1-d calls
+        buf = np.full((m, 2 * N), -1, dtype=np.int64)
+        buf[:, ::2] = F
+        assert has_spanning_orbit(buf[:, ::2]).tolist() == want
+        assert [has_spanning_orbit(row) for row in F] == want
+    assert answers == {False, True}
+
+
+def test_stacked_spanning_walks_every_row_at_once(monkeypatch):
+    # below the cutoff many rows take the stacked walk, not one walk per row
+    walked = []
+    monkeypatch.setattr(levels, "_walk", lambda F, v, seen: walked.append(v))
+    F = np.tile(np.roll(np.arange(WALK_CUTOFF), 1), (levels._STACK_ROWS, 1))
+    assert has_spanning_orbit(F).all()
+    assert not walked
+
+
+def _class_tables(q, a):
+    return _key_tables(canonical_keys(q, a), q, a)
+
+
+def test_refute_dual_matches_one_table_at_a_time():
+    # every (3,2) class at once against each class alone, and the first
+    # failing level against the brute-force level maps of the dual
+    T, O = _class_tables(3, 2)
+    fail = levels._refute_dual(T, O, 4)
+    assert fail.shape == (len(T), 2)
+    for i in range(0, len(T), 17):
+        assert levels._refute_dual(T[i:i + 1], O[i:i + 1], 4).tolist() == [fail[i].tolist()]
+        D = dual(Automaton(["a", "b", "c"], ["0", "1"], T[i], O[i]))
+        for x in range(2):
+            spans = [has_spanning_orbit(level_maps(D, n)[x]) for n in range(1, 5)]
+            assert fail[i, x] == (spans.index(False) + 1 if False in spans else 0)
+
+
+def test_refute_dual_chunks_within_array_cap(monkeypatch):
+    # one (3,2) row of dual level 4 is 2 * 3^4 entries: the cap lets one
+    # table through at a time there, 27 at level 1
+    T, O = _class_tables(3, 2)
+    want = levels._refute_dual(T, O, 4)
+    sizes = []
+    step = levels._level_step
+
+    def recording(o, t, P):
+        new = step(o, t, P)
+        sizes.append(new.size)
+        return new
+
+    monkeypatch.setattr(levels, "_level_step", recording)
+    monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**4)
+    assert np.array_equal(levels._refute_dual(T, O, 4), want)
+    assert max(sizes) <= levels.ARRAY_CAP and len(sizes) >= -(-len(T) // 27)
+
+
+def test_refute_dual_refused_level_raises_only_for_survivors(monkeypatch):
+    T, O = _class_tables(3, 2)
+    want = levels._refute_dual(T, O, 2)
+    monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**2)  # level 3 is refused
+    assert np.array_equal(levels._refute_dual(T, O, 2), want)
+    # tables refuted below the cap keep their verdict at any budget
+    dead = (want > 0).all(axis=1)
+    assert np.array_equal(levels._refute_dual(T[dead], O[dead], 10**9), want[dead])
+    with pytest.raises(MemoryError, match=r"2 rows of level size 3\^3"):
+        levels._refute_dual(T, O, 4)
+
+
+def test_refute_dual_budget_edges():
+    T, O = _class_tables(2, 2)
+    assert not levels._refute_dual(T, O, 0).any()
+    assert levels._refute_dual(T[:0], O[:0], 4).shape == (0, 2)
+    with pytest.raises(ValueError, match="below 0"):
+        levels._refute_dual(T, O, -1)

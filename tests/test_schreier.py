@@ -313,3 +313,29 @@ def test_act_index_matches_act(name):
             for v in range(M.n_letters**n):
                 want = word_index(M, act(M, w, index_word(M, v, n)))
                 assert schreier._act_index(M, row, v, n) == want, (row, v, n)
+
+
+def _bfs_by_act(M, x, L, rounds):
+    """The walk of _word_bfs from x^L through act on letter words, each state
+    before its inverse."""
+    gens = [(q, s) for q in M.states for s in (1, -1)]
+    v0 = word_index(M, (x,) * L)
+    out, seen, frontier = [(v0, None, None)], {v0}, [v0]
+    for _ in range(rounds):
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                u = word_index(M, act(M, GroupWord([g]), index_word(M, v, L)))
+                if u not in seen:
+                    seen.add(u)
+                    out.append((u, v, g))
+                    nxt.append(u)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("name", ["bellaterra", "aleshin", "affine(2,3)"])
+def test_word_bfs_order_matches_act(name):
+    M = builtin(name)
+    for x in M.alphabet:
+        assert list(schreier._word_bfs(M, x, 7, 4)) == _bfs_by_act(M, x, 7, 4)

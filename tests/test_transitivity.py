@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mealy.automaton import Automaton, act_inf, builtin, dual, properties
 from mealy.classify import enumerate_classes
-from mealy.levels import is_single_cycle, level_maps, level_permutation
+from mealy.levels import is_single_cycle, level_maps, level_permutation, word_index
 from mealy.ratfunc import Poly, RationalSeries, one_over_one_minus_t
 from mealy.transitivity import (
     char_coeffs,
@@ -103,6 +103,14 @@ def test_orbits_on_level_partition():
     rep = orbits_on_level(A, "a", 6)
     assert sum(rep.sizes) == rep.domain_size == 64
     assert rep.transitive == (len(rep.sizes) == 1)
+
+
+@pytest.mark.parametrize("M,w,n", [(A, "a", 6), (ADD, "rr", 5), (builtin("affine(2,3)"), "0", 4)])
+def test_representatives_round_trip_through_word_index(M, w, n):
+    rep = orbits_on_level(M, w, n)
+    words = rep.representatives()
+    assert len(words) == rep.orbit_count() and all(len(u) == n for u in words)
+    assert [word_index(M, u) for u in words] == [int(v) for v in rep.rep_indices]
 
 
 def test_orbits_on_level_with_subset():

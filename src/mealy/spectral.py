@@ -20,12 +20,14 @@ an (a-1)x(a-1) block per edge: the edge's fiber permutation written in an
 orthonormal basis of the zero-sum vectors of R^a (Bilu and Linial, "Lifts,
 discrepancy and nearly optimal spectral gap", 2006, for a = 2, where the
 blocks are the signs +-1; Friedman, "Relative expanders or weakly
-relatively Ramanujan graphs", 2003, for general covers).  gap_series uses
-this: after its first level it only solves the two extremes of each fiber
-matrix, so its gaps are non-increasing by construction.
+relatively Ramanujan graphs", 2003, for general covers).  Every spectrum
+is computed this way, as a chain of lifts from the single vertex of level
+0: each level only solves the two extremes of its fiber matrix, so no
+level is solved in full and the gaps along a chain are non-increasing by
+construction.
 
-Eigenpairs come from a dense solve up to DENSE_CAP vertices and from
-Lanczos (ARPACK) above it, with a fixed seeded start vector so that output
+Fiber matrices are solved dense up to DENSE_CAP rows and by Lanczos
+(ARPACK) above it, with a fixed seeded start vector so that output
 repeats byte for byte.  Lanczos asks for a relative tolerance of 1e-10,
 and of 1e-6 where that does not converge; the report's tolerance field
 says which.  Every report carries the largest residual ||Sx - lambda x||
@@ -40,10 +42,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .automaton import Automaton
-from .levels import _levels
+from .levels import level_maps
 from .schreier import SchreierGraph
 
-DENSE_CAP = 1 << 10
+# on aleshin, bellaterra and div3 fibers (2 vCPUs) Lanczos took 6-99 ms at 512
+# and 1,024 rows, dense eigh 37-274 ms; they were about even at 128 and 256
+DENSE_CAP = 1 << 7
 SPECTRAL_CAP = 1 << 20
 _LANCZOS_TOL = 1e-10
 _FALLBACK_TOL = 1e-6
@@ -55,12 +59,11 @@ class SpectrumReport:
 
     gap is the raw quantity |Q| - max(lambda_2, -lambda_min); gap_normalized
     is gap / |Q|, the value reported by two_sided_gap and emitted in series
-    output.  residual is the largest ||Sx - lambda x|| over the eigenpairs
-    solved for this level: those of the graph on a level solved in full,
-    those of the fiber matrix on a lifted level (values carried from the
-    level below keep that row's certificate).  new_radius is the fiber
-    matrix's max |lambda|, the radius of the eigenvalues the lift added; it
-    is NaN on a level solved in full.
+    output.  residual is the larger ||Sx - lambda x|| of the two fiber
+    matrix eigenpairs solved for this level (values carried from the level
+    below keep that row's certificate).  new_radius is the fiber matrix's
+    max |lambda|, the radius of the eigenvalues the lift added; it is NaN
+    only at level 0, the single vertex, which lifts nothing.
     """
 
     level: int
@@ -98,10 +101,9 @@ def _sparse_adjacency(cols: np.ndarray, blocks):
     return ((A + A.T) * 0.5).tocsr().sorted_indices()
 
 
-def adjacency(G: SchreierGraph, sparse: bool = False):
-    """Adjacency matrix with one unit per state edge, symmetrized as (A+A^T)/2."""
-    A = _sparse_adjacency(G.perms, np.ones((1, 1)))
-    return A if sparse else A.toarray()
+def adjacency(G: SchreierGraph) -> np.ndarray:
+    """Dense adjacency matrix with one unit per state edge, symmetrized as (A+A^T)/2."""
+    return _sparse_adjacency(G.perms, np.ones((1, 1))).toarray()
 
 
 def _fiber_matrix(P: np.ndarray, a: int):
@@ -122,18 +124,17 @@ def _fiber_matrix(P: np.ndarray, a: int):
     return _sparse_adjacency(P[:, :h] % h, blocks / np.sqrt(norm2 * norm2.T))
 
 
-def _extremes(S, n_top: int, dense_cap: int):
-    """The smallest and the n_top largest eigenvalues of the symmetric sparse S.
+def _extremes(S):
+    """The smallest and the largest eigenvalue of the symmetric sparse S.
 
-    Returns (values ascending, solver, tolerance, residual), the residual
-    being the largest ||Sx - lambda x|| over those eigenpairs.  Dense eigh
-    up to dense_cap vertices, Lanczos above it.
+    Returns (lo, hi, solver, tolerance, residual), the residual being the
+    larger ||Sx - lambda x|| of the two eigenpairs.  Dense eigh up to
+    DENSE_CAP rows, Lanczos above it.
     """
     nv = S.shape[0]
-    if nv <= max(dense_cap, n_top + 1):
+    if nv <= max(DENSE_CAP, 2):  # Lanczos for two eigenpairs needs three rows
         vals, vecs = np.linalg.eigh(S.toarray())
-        keep = np.r_[0, nv - n_top:nv]
-        vals, vecs = vals[keep], vecs[:, keep]
+        vals, vecs = vals[[0, -1]], vecs[:, [0, -1]]
         solver, tol = "dense", 1e-9
     else:
         import scipy.sparse.linalg as spl
@@ -141,26 +142,17 @@ def _extremes(S, n_top: int, dense_cap: int):
         v0 = np.random.default_rng(0).standard_normal(nv)
         tol = _LANCZOS_TOL
         try:
-            vals, vecs = spl.eigsh(S, k=n_top + 1, which="BE", tol=tol, v0=v0)
+            vals, vecs = spl.eigsh(S, k=2, which="BE", tol=tol, v0=v0)
         except spl.ArpackNoConvergence:
             # extremes packed within about 1/nv^2 of each other (a cycle)
             # need about nv iterations; a second failure propagates
             tol = _FALLBACK_TOL
-            vals, vecs = spl.eigsh(S, k=n_top + 1, which="BE", tol=tol, v0=v0)
+            vals, vecs = spl.eigsh(S, k=2, which="BE", tol=tol, v0=v0)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         solver = "iterative"
     residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
-    return vals, solver, tol, residual
-
-
-def _report(level, nv, nq, lam_max, lam2, lam_min, solver, tol, residual,
-            new_radius=float("nan")) -> SpectrumReport:
-    # a second eigenvalue equal to the degree means a second component
-    disconnected = (lam_max - lam2) < 1e-8 * nq
-    gap = nq - max(lam2, -lam_min)
-    return SpectrumReport(level, nv, lam_max, lam2, lam_min, gap, gap / nq, solver, tol,
-                          disconnected, residual, new_radius)
+    return float(vals[0]), float(vals[1]), solver, tol, residual
 
 
 def _check_size(nv: int) -> None:
@@ -168,55 +160,62 @@ def _check_size(nv: int) -> None:
         raise MemoryError(f"{nv} vertices above the spectral cap {SPECTRAL_CAP}")
 
 
-def spectrum(G: SchreierGraph, dense_cap: int = DENSE_CAP) -> SpectrumReport:
+def _chain(P: np.ndarray, a: int, n: int):
+    """Reports of levels 0..n in turn, from the level-n map P.
+
+    Row 0 is the single vertex.  Row k lifts row k-1 by the extremes of the
+    fiber matrix read off P[:, :a^k] % a^k, which is the level-k map:
+    images keep prefixes, and the first-read letter is the least
+    significant digit.  lambda_2 and lambda_min become max(lambda_2, fiber
+    max) and min(lambda_min, fiber min); lambda_max stays the degree.
+    """
+    nq = len(P)
+    # single vertex: no lambda_2; the gap is reported as the 2|Q| sentinel
+    r = SpectrumReport(0, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, "dense", 0.0,
+                       residual=0.0)
+    yield r
+    for k in range(1, n + 1):
+        if a == 1:  # a one-sheeted cover is the same graph
+            r = replace(r, level=k)
+        else:
+            h = a**k
+            lo, hi, solver, tol, residual = _extremes(_fiber_matrix(P[:, :h] % h, a))
+            # the fiber matrix sums |Q| orthogonal blocks, so rounding alone
+            # can carry an extreme past the degree
+            lo, hi = max(lo, -nq), min(hi, nq)
+            # fmax: the single vertex of level 0 has no lambda_2 (NaN)
+            lam2, lam_min = float(np.fmax(r.lam2, hi)), min(r.lam_min, lo)
+            gap = nq - max(lam2, -lam_min)
+            # a second eigenvalue equal to the degree means a second component
+            r = SpectrumReport(k, h, r.lam_max, lam2, lam_min, gap, gap / nq, solver, tol,
+                               (r.lam_max - lam2) < 1e-8 * nq, residual, max(hi, -lo))
+        yield r
+
+
+def spectrum(G: SchreierGraph) -> SpectrumReport:
     """Extremal eigenvalues and the two-sided gap of the symmetrized graph.
 
-    Dense eigh up to dense_cap vertices; Lanczos extremal pairs with a fixed
-    start vector beyond; MemoryError above SPECTRAL_CAP vertices.  A
+    The last row of the lift chain from level 0 over G's level map, so no
+    level is solved in full; MemoryError above SPECTRAL_CAP vertices.  A
     disconnected graph shows lambda_2 = lambda_max = |Q| and is flagged.
     """
-    nq = len(G.perms)
-    nv = G.n_vertices
-    _check_size(nv)
-    if nv == 1:
-        # single vertex: no lambda_2; the gap is reported as the 2|Q| sentinel
-        return SpectrumReport(
-            G.n, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, "dense", 0.0,
-            residual=0.0,
-        )
-    vals, solver, tol, residual = _extremes(adjacency(G, sparse=True), 2, dense_cap)
-    lam_min, lam2, lam_max = (float(x) for x in vals)
-    return _report(G.n, nv, nq, lam_max, lam2, lam_min, solver, tol, residual)
+    _check_size(G.n_vertices)
+    *_, last = _chain(G.perms, G.M.n_letters, G.n)
+    return last
 
 
-def two_sided_gap(G: SchreierGraph, dense_cap: int = DENSE_CAP) -> float:
+def two_sided_gap(G: SchreierGraph) -> float:
     """Degree-normalized two-sided gap, 1 - max(lambda_2, -lambda_min)/|Q|."""
-    return spectrum(G, dense_cap=dense_cap).gap_normalized
+    return spectrum(G).gap_normalized
 
 
-def _lift(prev: SpectrumReport, P: np.ndarray, a: int, dense_cap: int) -> SpectrumReport:
-    """The report of level k from that of level k-1 and the level-k map P."""
-    if a == 1:  # a one-sheeted cover is the same graph
-        return replace(prev, level=prev.level + 1)
-    vals, solver, tol, residual = _extremes(_fiber_matrix(P, a), 1, dense_cap)
-    lo, hi = float(vals[0]), float(vals[-1])
-    # fmax: the single vertex of level 0 has no lambda_2 (NaN)
-    return _report(prev.level + 1, P.shape[1], P.shape[0], prev.lam_max,
-                   float(np.fmax(prev.lam2, hi)), min(prev.lam_min, lo), solver, tol,
-                   residual, new_radius=max(hi, -lo))
-
-
-def gap_series(
-    M: Automaton, n_min: int, n_max: int, dense_cap: int = DENSE_CAP
-) -> list[SpectrumReport]:
+def gap_series(M: Automaton, n_min: int, n_max: int) -> list[SpectrumReport]:
     """Spectrum reports for levels n_min..n_max ([] when n_min > n_max).
 
-    Level n_min is solved in full with spectrum, and each later level k
-    only adds the extremes of the fiber matrix of its a-sheeted cover of
-    level k-1, read off the level-k map: lambda_2 and lambda_min become
-    max(lambda_2, fiber max) and min(lambda_min, fiber min).  ValueError
-    for a level below 0 or a non-invertible automaton; MemoryError before
-    any level is built when level n_max has more than SPECTRAL_CAP vertices.
+    Rows n_min..n_max of the lift chain from level 0 over the level-n_max
+    map, so the gaps are non-increasing.  ValueError for a level below 0 or
+    a non-invertible automaton; MemoryError before any level is built when
+    level n_max has more than SPECTRAL_CAP vertices.
     """
     if n_min < 0:
         raise ValueError(f"level {n_min} is below 0")
@@ -224,13 +223,8 @@ def gap_series(
         raise ValueError("Schreier graphs need an invertible automaton")
     # capping the exponent keeps a huge n_max from computing a huge a**n_max
     _check_size(M.n_letters ** min(n_max, 64))
-    out: list[SpectrumReport] = []
-    for n, P in enumerate(_levels(M, n_max, SPECTRAL_CAP)):
-        if n == n_min:
-            out.append(spectrum(SchreierGraph(M, n, P), dense_cap=dense_cap))
-        elif n > n_min:
-            out.append(_lift(out[-1], P, M.n_letters, dense_cap))
-    return out
+    P = level_maps(M, n_max, SPECTRAL_CAP)
+    return list(_chain(P, M.n_letters, n_max))[n_min:]
 
 
 CSV_HEADER = "n,vertices,lambda2,lambda_min,gap,solver"

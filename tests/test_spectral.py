@@ -26,6 +26,15 @@ B = builtin("bellaterra")
 A = builtin("aleshin")
 
 
+def _dense_extremes(M, n):
+    """(lam_max, lam2, lam_min, gap_normalized, disconnected) of level n from
+    eigvalsh of the dense adjacency matrix: a route that uses no lift."""
+    vals = np.linalg.eigvalsh(adjacency(build(M, n)))
+    nq = M.n_states
+    lam_max, lam2, lam_min = vals[-1], vals[-2], vals[0]
+    return lam_max, lam2, lam_min, 1 - max(lam2, -lam_min) / nq, lam_max - lam2 < 1e-8 * nq
+
+
 def test_adjacency_symmetric_and_regular():
     Adj = adjacency(build(B, 5))
     assert np.array_equal(Adj, Adj.T)
@@ -49,11 +58,22 @@ def test_single_vertex_sentinel():
     assert math.isnan(r.lam2)
 
 
+# the graphs benchmark's levels, on both sides of DENSE_CAP
+_PINNED_GAPS = {
+    "aleshin": [0.333333333333, 0.258418376203, 0.258418376203, 0.254655511140,
+                0.251349475125, 0.226422463574, 0.226422463574],
+    "bellaterra": [0.067355782689, 0.067355782689, 0.067355782689, 0.067355782689,
+                   0.067355782689, 0.057984059802, 0.057984059802],
+    "div3": [0.246936839454, 0.197237260233, 0.156757714784, 0.126989277720,
+             0.106497918889, 0.088946565583, 0.076013687689],
+}
+
+
 def test_gap_series_values_pinned():
-    gaps = [r.gap_normalized for r in gap_series(A, 6, 8)]
-    assert gaps == pytest.approx([0.333333, 0.258418, 0.258418], abs=1e-5)
-    gaps_b = [r.gap_normalized for r in gap_series(B, 6, 8)]
-    assert gaps_b == pytest.approx([0.067356, 0.067356, 0.067356], abs=1e-5)
+    for name, gaps in _PINNED_GAPS.items():
+        series = gap_series(builtin(name), 6, 12)
+        assert {r.solver for r in series} == {"dense", "iterative"}
+        assert [r.gap_normalized for r in series] == pytest.approx(gaps, abs=1e-9), name
 
 
 def test_raw_and_normalized_fields_consistent():
@@ -68,16 +88,19 @@ def test_gap_invariant_under_relabeling():
         assert two_sided_gap(build(R, n)) == pytest.approx(two_sided_gap(build(B, n)))
 
 
-def test_sparse_solver_agrees_with_dense():
+def test_sparse_solver_agrees_with_dense(monkeypatch):
     G = build(B, 6)
+    want = _dense_extremes(B, 6)[3]
     dense = spectrum(G)
-    sparse = spectrum(G, dense_cap=8)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 8)
+    sparse = spectrum(G)
     assert dense.solver == "dense"
     assert sparse.solver == "iterative"
-    assert sparse.gap == pytest.approx(dense.gap, abs=1e-5)
+    for r in (dense, sparse):
+        assert r.gap == pytest.approx(3 * want, abs=1e-5)
 
 
-def test_disconnected_graph_flagged():
+def test_disconnected_graph_flagged(monkeypatch):
     E = Automaton(["e"], ["0", "1"],
                   {("e", "0"): "e", ("e", "1"): "e"},
                   {("e", "0"): "0", ("e", "1"): "1"})
@@ -86,7 +109,8 @@ def test_disconnected_graph_flagged():
     assert r.gap_normalized == pytest.approx(0.0)
     # every lifted level too, from dense and from Lanczos signed solves
     for cap in (DENSE_CAP, 4):
-        series = gap_series(E, 1, 8, dense_cap=cap)
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+        series = gap_series(E, 1, 8)
         assert [r.level for r in series] == list(range(1, 9))
         assert all(r.disconnected for r in series)
         assert all(r.gap_normalized == pytest.approx(0.0) for r in series)
@@ -149,19 +173,19 @@ _SERIES_LEVELS = {"affine(2,3)": (1, 7), "affine(3,4)": (1, 5)}
 
 @pytest.mark.parametrize(
     "name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"] + list(_SERIES_LEVELS))
-def test_gap_series_matches_per_level_spectrum(name):
+def test_gap_series_matches_per_level_spectrum(name, monkeypatch):
     M = builtin(name)
     lo, hi = _SERIES_LEVELS.get(name, (2, 10))
-    ref = [spectrum(build(M, n), dense_cap=1 << 13) for n in range(lo, hi + 1)]
-    assert all(r.solver == "dense" for r in ref)
-    for cap in (DENSE_CAP, 16):  # 16 sends every lifted level above 16 vertices to Lanczos
-        series = gap_series(M, lo, hi, dense_cap=cap)
+    ref = [_dense_extremes(M, n) for n in range(lo, hi + 1)]
+    for cap in (DENSE_CAP, 16):  # 16 sends every fiber matrix above 16 rows to Lanczos
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+        series = gap_series(M, lo, hi)
         assert [r.level for r in series] == list(range(lo, hi + 1))
         for r, want in zip(series, ref):
-            assert r.n_vertices == want.n_vertices
-            for field in ("lam_max", "lam2", "lam_min", "gap_normalized"):
-                assert abs(getattr(r, field) - getattr(want, field)) <= 1e-9, (r.level, field)
-            assert r.disconnected == want.disconnected
+            assert r.n_vertices == M.n_letters**r.level
+            got = (r.lam_max, r.lam2, r.lam_min, r.gap_normalized)
+            assert got == pytest.approx(want[:4], abs=1e-9), r.level
+            assert r.disconnected == want[4]
     assert series[-1].solver == "iterative"
 
 
@@ -171,8 +195,8 @@ def test_gap_series_from_level_zero():
         series = gap_series(M, 0, 4)
         assert math.isnan(series[0].lam2) and series[0].gap_normalized == 2.0
         for r in series[1:]:
-            want = spectrum(build(M, r.level))
-            assert (r.lam2, r.lam_min) == pytest.approx((want.lam2, want.lam_min), abs=1e-9)
+            want = _dense_extremes(M, r.level)
+            assert (r.lam2, r.lam_min) == pytest.approx(want[1:3], abs=1e-9)
     one = Automaton(["e"], ["0"], np.array([[0]]), np.array([[0]]))
     assert [repr(r) for r in gap_series(one, 0, 3)] == [
         repr(dataclasses.replace(spectrum(build(one, 0)), level=n)) for n in range(4)]
@@ -188,23 +212,28 @@ def test_gap_series_argument_errors():
 
 
 def test_lanczos_rows_carry_residual_certificate():
-    series = gap_series(B, 6, 12)
+    series = gap_series(B, 0, 12)
     lanczos = [r for r in series if r.solver == "iterative"]
-    assert [r.level for r in lanczos] == [12]  # signed level 11: 2048 > DENSE_CAP
+    # the fiber matrix of level k has 2^(k-1) rows
+    assert [r.level for r in lanczos] == [k for k in range(13) if 2 ** (k - 1) > DENSE_CAP]
     assert all(0 < r.residual < 1e-8 for r in lanczos)
     assert all(r.residual < 1e-12 for r in series if r.solver == "dense")
-    assert math.isnan(series[0].new_radius)  # level 6 is solved in full
+    # level 0 lifts nothing; every later level is a lift
+    assert [math.isnan(r.new_radius) for r in series] == [True] + [False] * 12
     for prev, r in zip(series, series[1:]):
         # the eigenvalues a lift adds reach new_radius and no further
         assert 0 < r.new_radius <= 3
-        assert max(r.lam2, -r.lam_min) == max(prev.lam2, -prev.lam_min, r.new_radius)
+        # fmax: level 0 has no lambda_2
+        assert max(r.lam2, -r.lam_min) == np.fmax(prev.lam2, max(-prev.lam_min, r.new_radius))
 
 
-def test_lanczos_output_repeats_exactly():
+def test_lanczos_output_repeats_exactly(monkeypatch):
     # the fixed start vector makes every digit repeat, residuals included
+    monkeypatch.setattr(spectral, "DENSE_CAP", 16)
+
     def runs():
         return [repr(dataclasses.astuple(r))
-                for r in [spectrum(build(A, 10), dense_cap=16), *gap_series(A, 11, 12)]]
+                for r in [spectrum(build(A, 10)), *gap_series(A, 11, 12)]]
 
     first = runs()
     assert "iterative" in first[0] and "iterative" in first[-1]
@@ -221,20 +250,21 @@ def test_lanczos_falls_back_to_looser_tolerance(monkeypatch):
         return eigsh(S, **kw)
 
     monkeypatch.setattr(spl, "eigsh", strict_fails)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 8)
     G = build(A, 7)
-    r = spectrum(G, dense_cap=8)
-    assert tols == [1e-10, 1e-6]
+    r = spectrum(G)
+    # the fibers of levels 5, 6 and 7 have 16, 32 and 64 rows: each Lanczos row retries
+    assert tols == [1e-10, 1e-6] * 3
     assert (r.solver, r.tolerance) == ("iterative", 1e-6)
     assert r.residual < 1e-4
-    assert r.gap == pytest.approx(spectrum(G).gap, abs=1e-8)
+    assert r.gap == pytest.approx(3 * _dense_extremes(A, 7)[3], abs=1e-8)
 
 
 def test_spectral_cap_raises_before_building(monkeypatch):
     def no_build(*args, **kw):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(spectral, "SchreierGraph", no_build)
-    monkeypatch.setattr(spectral, "_levels", no_build)
+    monkeypatch.setattr(spectral, "level_maps", no_build)
     D = builtin("div3")
     for n_min, n_max in ((21, 21), (2, 21), (0, 10**9)):
         with pytest.raises(MemoryError):
@@ -245,3 +275,22 @@ def test_spectral_cap_raises_before_building(monkeypatch):
     big = SchreierGraph(D, 21, np.zeros((1, SPECTRAL_CAP + 1), dtype=np.int32))
     with pytest.raises(MemoryError):
         spectrum(big)
+
+
+def test_fiber_extremes_clamped_to_degree(monkeypatch):
+    # rounding in Lanczos put lambda_2 of the disconnected conjugator graphs a
+    # hair above the degree 3, and the gap printed as -0.0000000000
+    monkeypatch.setattr(spectral, "DENSE_CAP", 4)
+    series = gap_series(builtin("conjugator"), 1, 12)
+    assert series[-1].solver == "iterative"
+    assert all(r.gap_normalized >= 0 and r.lam2 <= 3 for r in series)
+    assert not any("-0.0000000000" in r.csv_row() for r in series)
+    assert [r.disconnected for r in series] == [False] + [True] * 11
+
+
+def test_adding_machine_closed_form():
+    # S = I + (P + P^T)/2 for the 2^11-cycle P: eigenvalues 1 + cos(2 pi j / 2^11)
+    r = spectrum(build(builtin("adding"), 11))
+    assert abs(r.lam2 - (1 + math.cos(2 * math.pi / 2**11))) <= 1e-9
+    assert abs(r.lam_min) <= 1e-9
+    assert r.tolerance == 1e-10  # no fallback

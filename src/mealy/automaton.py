@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .words import EventuallyPeriodicWord, GroupWord, format_symbols
+from .words import EventuallyPeriodicWord, GroupWord, _canonical, format_symbols
 
 
 class Automaton:
@@ -500,8 +500,9 @@ def _run(steps, rows: list[int], letters) -> list[int]:
     Each row reads the word written by the row to its right and is left in
     rows at its section after that word, so calling again continues the
     same infinite input.  The only loop that walks letter words through the
-    step table; letter by letter, as most calls feed one letter or a short
-    word through many rows.
+    step table.  It goes letter by letter, which suits the callers that feed
+    one letter or a short word through many rows; act_inf instead feeds long
+    words through a one-row cascade.
     """
     out = []
     cascade = range(len(rows) - 1, -1, -1)
@@ -526,21 +527,28 @@ def act(M: Automaton, w, s):
 def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     """Apply w to an eventually periodic word; the image is again one.
 
-    The rows of w at the start of each input period can take finitely many
-    values, so the output stream is detected by cycle detection on them and
-    returned in canonical form.
+    The rows of w act one at a time, rightmost first, each on the
+    eventually periodic word the row to its right wrote: once over the
+    preperiod, then over the period until the row's own state repeats,
+    which takes at most one pass per step-table row.  The repeating passes
+    are the new period, reduced to its primitive root and rolled into
+    canonical form before the next row reads it, so the work is the sum of
+    the rows' output lengths.
     """
-    rows = _rows(M, w)
     steps = M.step_table()
-    out = _run(steps, rows, [M.letter_index(x) for x in e.preperiod])
-    period = [M.letter_index(x) for x in e.period]
-    seen: dict[tuple, int] = {}
-    while (key := tuple(rows)) not in seen:
-        seen[key] = len(out)
-        out += _run(steps, rows, period)
-    start = seen[key]
-    letters = [M.alphabet[i] for i in out]
-    return EventuallyPeriodicWord(letters[:start], letters[start:])
+    pre = [M.letter_index(x) for x in e.preperiod]
+    per = [M.letter_index(x) for x in e.period]
+    for row in reversed(_rows(M, w)):
+        cell = [row]
+        pre = _run(steps, cell, pre)
+        seen: dict[int, int] = {}
+        out: list[int] = []
+        while cell[0] not in seen:
+            seen[cell[0]] = len(out)
+            out += _run(steps, cell, per)
+        start = seen[cell[0]]
+        pre, per = _canonical(pre + out[:start], out[start:])
+    return EventuallyPeriodicWord([M.alphabet[i] for i in pre], [M.alphabet[i] for i in per])
 
 
 def dual_act(M: Automaton, v, s):

@@ -14,9 +14,11 @@ Five independent checks live here:
 * ``aleshin_relation_check`` recovers the letter pairing under which each
   Aleshin generator is the all-digit swap composed with a Bellaterra
   generator, plus the product identity that transfers even-length paths.
-* ``preperiod_growth`` runs the affine map alpha(w) = (w-1)/2 exactly on
-  balanced-ternary coded rationals and measures preperiod growth, with the
-  binary odometer as the logarithmic baseline.
+* ``preperiod_growth`` measures how the preperiod of alpha^{-n}(c c c ...)
+  grows, where alpha(w) = (w-1)/2 acts on balanced-ternary coded rationals:
+  that preimage codes the integer 2^n - 1, so its preperiod is the digit
+  count of 2^n - 1, found from powers of 3.  The binary odometer is the
+  logarithmic baseline.
 """
 
 from __future__ import annotations
@@ -400,19 +402,24 @@ class PreperiodReport:
 def preperiod_growth(n_max: int = 2000, adding_n_max: int = 10000) -> PreperiodReport:
     """Preperiod growth of alpha^{-n}(c^inf) against the odometer baseline.
 
-    The n-th preimage codes the integer 2^n - 1, so the preperiod length
-    should grow like (log_3 2) n; the report carries the least-squares
-    slope.  The binary odometer applied n times to 0^inf codes n itself
-    and its preperiod must stay within 2 of log2(n+1), rounded up.
+    The n-th preimage codes the integer 2^n - 1, so its preperiod length
+    is the balanced-ternary digit count of 2^n - 1 and grows like
+    (log_3 2) n; the report carries the least-squares slope.  The binary
+    odometer applied n times to 0^inf codes n itself and its preperiod
+    must stay within 2 of log2(n+1), rounded up.
     """
     if n_max < 2 or adding_n_max < 0:
         raise ValueError(f"a slope needs n_max >= 2 and adding_n_max >= 0, "
                          f"not {n_max} and {adding_n_max}")
+    # v > 0 codes as L digits, the last one nonzero, then c c c ...; L
+    # digits reach at most (3^L - 1)/2, so L is the least with 2v+1 <= 3^L
     heights = []
-    v = 0
+    v, L, top = 0, 0, 1
     for _ in range(n_max):
         v = 2 * v + 1
-        heights.append(balanced_ternary_word(v).h())
+        while 2 * v + 1 > top:
+            L, top = L + 1, 3 * top
+        heights.append(L)
     slope = float(np.polyfit(np.arange(1, n_max + 1), heights, 1)[0])
 
     M = builtin("adding")

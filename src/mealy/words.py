@@ -123,12 +123,40 @@ class GroupWord:
         return " ".join(q + ("'" if s < 0 else "") for q, s in self.letters)
 
 
-def _primitive(period: tuple[str, ...]) -> tuple[str, ...]:
-    n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period[:d] * (n // d) == period:
-            return period[:d]
-    return period
+def _primitive(period: Sequence) -> Sequence:
+    """The primitive root of a nonempty period: its shortest prefix p with
+    period = p^m.  The lengths d dividing len(period) whose prefix repeats
+    are the multiples of |p|, so dividing the length by one prime at a time,
+    while the shorter prefix still repeats, ends at |p|; each try is one
+    shift comparison."""
+    n = d = len(period)
+    m, r = n, 2
+    while m > 1:
+        if r * r > m:
+            r = m  # what is left of m is prime
+        if m % r == 0:
+            while m % r == 0:
+                m //= r
+            while d % r == 0 and period[d // r:] == period[:n - d // r]:
+                d //= r
+        r += 1
+    return period[:d]
+
+
+def _canonical(preperiod: Sequence, period: Sequence) -> tuple[Sequence, Sequence]:
+    """Canonical form of the stream preperiod . period period ...: the period
+    reduced to its primitive root, then the period start rolled leftward
+    while the stream is unchanged.  The roll is counted first and applied
+    with one slice of each part, so the cost is linear."""
+    per = _primitive(period)
+    n, m = len(per), len(preperiod)
+    roll = 0
+    while roll < m and preperiod[m - 1 - roll] == per[n - 1 - roll % n]:
+        roll += 1
+    s = roll % n
+    if s:
+        per = per[n - s:] + per[:n - s]
+    return preperiod[:m - roll], per
 
 
 class EventuallyPeriodicWord:
@@ -143,15 +171,10 @@ class EventuallyPeriodicWord:
     __slots__ = ("preperiod", "period")
 
     def __init__(self, preperiod: Sequence[str] | str, period: Sequence[str] | str):
-        pre = tuple(preperiod)
-        per = _primitive(tuple(period))
+        per = tuple(period)
         if not per:
             raise ValueError("period must be nonempty")
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = (per[-1],) + per[:-1]
-        self.preperiod = pre
-        self.period = per
+        self.preperiod, self.period = _canonical(tuple(preperiod), per)
 
     @classmethod
     def constant(cls, x: str) -> "EventuallyPeriodicWord":

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -212,6 +214,58 @@ def test_act_inf_matches_finite_prefixes():
     img = act_inf(B, "cab", w)
     n = 24
     assert "".join(img.prefix(n)) == act(B, "cab", "".join(w.prefix(n)))
+
+
+def _act_inf_cascade(M, w, e):
+    """act_inf with all rows of w stepped together, one letter at a time,
+    and the cycle detected on the tuple of rows at each input period."""
+    rows = automaton._rows(M, w)
+    steps = M.step_table()
+    out = automaton._run(steps, rows, [M.letter_index(x) for x in e.preperiod])
+    period = [M.letter_index(x) for x in e.period]
+    seen = {}
+    while (key := tuple(rows)) not in seen:
+        seen[key] = len(out)
+        out += automaton._run(steps, rows, period)
+    start = seen[key]
+    letters = [M.alphabet[i] for i in out]
+    return EventuallyPeriodicWord(letters[:start], letters[start:])
+
+
+BUILTINS = ("adding", "aleshin", "bellaterra", "bireversible52", "conjugator", "div3")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_act_inf_matches_cascade(name):
+    M = builtin(name)
+    rng = random.Random(f"act_inf-{name}")
+    for k in range(9):
+        for _ in range(4):
+            w = GroupWord([(rng.choice(M.states), rng.choice((1, -1))) for _ in range(k)])
+            for p in (1, 2, 3):
+                per = [rng.choice(M.alphabet) for _ in range(p)]
+                # a last preperiod letter unlike the period's keeps it from rolling away
+                last = rng.choice([x for x in M.alphabet if x != per[-1]])
+                pre = [rng.choice(M.alphabet) for _ in range(rng.randint(0, 3))] + [last]
+                e = EventuallyPeriodicWord(pre, per)
+                assert e.h() == len(pre)
+                assert act_inf(M, w, e) == _act_inf_cascade(M, w, e), (w, e)
+
+
+def test_act_inf_matches_cascade_on_long_periods():
+    # the fixed-seed stratum of length-8 bireversible52 words that the
+    # benchmark's walks workload draws; their images of x x x ... have the
+    # longest periods there, up to 5^8 letters
+    M = builtin("bireversible52")
+    rng = random.Random("bireversible52-8")
+    longest = 0
+    for _ in range(208):
+        w = GroupWord([(rng.choice(M.states), rng.choice((1, -1))) for _ in range(8)])
+        e = EventuallyPeriodicWord.constant(rng.choice(M.alphabet))
+        img = act_inf(M, w, e)
+        assert img == _act_inf_cascade(M, w, e), w
+        longest = max(longest, len(img.period))
+    assert longest > 5**7
 
 
 def test_step_unknown_symbols_raise():

@@ -199,6 +199,22 @@ def test_preperiod_growth_refuses_sizes_without_a_slope(n_max, adding_n_max):
         preperiod_growth(n_max, adding_n_max)
 
 
+def test_preperiod_heights_are_digit_counts():
+    # the balanced-ternary conversion of 2^n - 1, digit by digit
+    heights = preperiod_growth(2000, 0).heights
+    for n in list(range(1, 301)) + [2000]:
+        assert heights[n - 1] == balanced_ternary_word(2**n - 1).h(), n
+
+
+def test_preperiod_heights_follow_alpha_inverse():
+    # alpha^{-1} applied n times to c c c ..., by exact rational arithmetic
+    heights = preperiod_growth(30, 0).heights
+    w = EPW.constant("c")
+    for n in range(1, 31):
+        w = alpha_inverse(w)
+        assert heights[n - 1] == w.h(), n
+
+
 def test_preperiod_heights_start():
     rep = preperiod_growth(8, 10)
     # alpha^{-n}(0) codes 2^n - 1, whose preperiod stays within n + 1 digits

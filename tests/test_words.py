@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mealy.words import EventuallyPeriodicWord, GroupWord, format_symbols
+from mealy.words import EventuallyPeriodicWord, GroupWord, _canonical, _primitive, format_symbols
 
 
 def test_parse_and_repr():
@@ -89,3 +89,45 @@ def test_equal_streams_compare_equal(pre, per):
 def test_period_must_be_nonempty():
     with pytest.raises(ValueError):
         EventuallyPeriodicWord("a", "")
+
+
+def _primitive_naive(period):
+    n = len(period)
+    for d in range(1, n + 1):
+        if n % d == 0 and period[:d] * (n // d) == period:
+            return period[:d]
+    return period
+
+
+def _canonical_naive(pre, per):
+    """The canonical form rolled one letter at a time, as a reference."""
+    pre, per = tuple(pre), _primitive_naive(tuple(per))
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = (per[-1],) + per[:-1]
+    return pre, per
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=6), st.integers(1, 12))
+def test_primitive_matches_naive_on_powers(root, m):
+    word = tuple(root * m)
+    assert _primitive(word) == _primitive_naive(word)
+    assert _primitive(list(word)) == list(_primitive_naive(word))
+
+
+@given(st.text(alphabet="abc", max_size=12), st.text(alphabet="abc", min_size=1, max_size=4),
+       st.integers(1, 6), st.integers(0, 30))
+def test_canonical_matches_naive(pre, root, m, tail):
+    # a preperiod that ends in a stretch of the period rolls away
+    per = root * m
+    pre = pre + (per * 8)[-tail:] if tail else pre
+    want = _canonical_naive(pre, per)
+    assert _canonical(tuple(pre), tuple(per)) == want
+    w = EventuallyPeriodicWord(pre, per)
+    assert (w.preperiod, w.period) == want
+
+
+def test_canonical_long_roll_matches_naive():
+    per = tuple("0110100" * 3 + "1")
+    pre = ("0",) + per * 40
+    assert _canonical(pre, per) == _canonical_naive(pre, per) == (("0",), per)

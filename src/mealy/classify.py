@@ -1,9 +1,10 @@
 """Census of small invertible automata up to relabeling.
 
 Tables are enumerated with permutation output rows (so every table is
-invertible), reduced to one representative per relabeling class by one
-canonicalizer over stacked tables (the least byte string of cells
-output * |Q| + target over all state and letter permutations), and the
+invertible) and reduced to one representative per relabeling class, its
+canonical key: the least byte string of cells output * |Q| + target over
+all state and letter permutations.  The key pass keeps exactly the
+enumerated tables that no relabeling makes smaller, and the
 classes go through the cotransitivity pipeline as stacked (T, O) arrays:
 properties as array tests, orbit refutation of every dual state at low
 levels at once, and an Automaton only where a class needs one -- an exact
@@ -18,6 +19,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -38,50 +40,112 @@ from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_
 CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
 _COCYCLIC = Properties.__slots__.index("cocyclic")  # its column of _table_properties
+_CHUNK = 1 << 16  # raw tables one slice of the key pass decodes at a time
+
+
+@lru_cache(maxsize=None)
+def _relabelings(q: int, a: int, letters: bool) -> tuple:
+    """(lut, at) of every renaming of (q, a) tables but the identity.
+
+    Renaming the states by sp, and the letters by lp when letters is
+    true, turns the _cells columns cols of tables into lut[cols[at]].
+    The arrays are built once per shape and are read-only.
+    """
+    if q > CANON_MAX_STATES or a > CANON_MAX_LETTERS:
+        raise ValueError(f"relabeling orbit too large for ({q},{a})")
+    identity = (tuple(range(q)), tuple(range(a)))
+    lps = list(permutations(range(a))) if letters else [identity[1]]
+    out = []
+    for sp in permutations(range(q)):
+        spA = np.array(sp)
+        for lp in lps:
+            if (sp, lp) == identity:
+                continue
+            lpA = np.array(lp)
+            # renamed cell (sp[s], lp[x]) is lp[o]*q + sp[t] of cell (s, x)
+            lut = (lpA[:, None] * q + spA).astype(np.uint8).ravel()
+            at = (np.argsort(spA)[:, None] * a + np.argsort(lpA)).ravel()
+            lut.flags.writeable = at.flags.writeable = False
+            out.append((lut, at))
+    return tuple(out)
+
+
+def _cells(T, O, q: int, a: int) -> np.ndarray:
+    """The cells o*q + t of stacked tables, one byte each, as columns.
+
+    Row j of the (q*a, n) result is cell j of every table; the cells of a
+    table are state-major and letter-minor.
+    """
+    flat = (np.asarray(O) * q + T).astype(np.uint8).reshape(len(T), q * a)
+    return np.ascontiguousarray(flat.T)
+
+
+def _words(cols: np.ndarray) -> np.ndarray:
+    """Cell strings held in _cells columns as big-endian uint64 words.
+
+    The strings are zero-padded at the end, so comparing rows word by
+    word orders them as the base-(q*a) numbers they spell.  The words are
+    returned in native byte order, one row per table.
+    """
+    qa, n = cols.shape
+    padded = np.zeros((n, -(-qa // 8) * 8), dtype=np.uint8)
+    padded[:, :qa] = cols.T
+    return padded.view(">u8").astype(np.uint64)
+
+
+def _renamed_less(cols: np.ndarray, lut, at, ref: np.ndarray) -> np.ndarray:
+    """Which tables the renaming (lut, at) of cols makes less than ref.
+
+    cols and ref are _cells columns.  The strings are compared from the
+    first cell on, and only the tables tied so far read the next cell.
+    """
+    x = lut[cols[at[0]]]
+    less = x < ref[0]
+    tied = np.flatnonzero(x == ref[0])
+    for j in range(1, len(at)):
+        if not len(tied):
+            break
+        x = lut[cols[at[j], tied]]
+        y = ref[j, tied]
+        less[tied[x < y]] = True
+        tied = tied[x == y]
+    return less
 
 
 def _least_cells(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
     """Least cell string of each stacked (T, O) table over its relabelings.
 
-    The cells of a table are o*q + t, one byte each, state-major and
-    letter-minor.  Renamings of the states, and of the letters when
-    letters is true, are tried; strings are compared byte by byte as
-    big-endian uint64 words (zero-padded at the end), which orders them
-    as the base-(q*a) numbers they spell.  Row k of the result holds the
-    least string of table k as those words, in native byte order.
+    Renamings of the states, and of the letters when letters is true,
+    are tried.  Row k of the result holds the least string of table k as
+    _words.
     """
-    if q > CANON_MAX_STATES or a > CANON_MAX_LETTERS:
-        raise ValueError(f"relabeling orbit too large for ({q},{a})")
-    n, qa = len(T), q * a
-    src = (np.asarray(O) * q + T).astype(np.uint8).reshape(n, qa)
-    cells = np.zeros((n, -(-qa // 8) * 8), dtype=np.uint8)
-    words = cells.view(">u8")
-    best = None
-    lps = list(permutations(range(a))) if letters else [tuple(range(a))]
-    for sp in permutations(range(q)):
-        spA = np.array(sp)
-        for lp in lps:
-            lpA = np.array(lp)
-            # renamed cell (sp[s], lp[x]) is lp[o]*q + sp[t] of cell (s, x)
-            lut = (lpA[:, None] * q + spA).astype(np.uint8).ravel()
-            at = (np.argsort(spA)[:, None] * a + np.argsort(lpA)).ravel()
-            cells[:, :qa] = lut[src[:, at]]
-            cand = words.astype(np.uint64)
-            if best is None:
-                best = cand
-                continue
-            # cand < best lexicographically, deciding from the last word up
-            less = cand[:, -1] < best[:, -1]
-            for w in range(cand.shape[1] - 2, -1, -1):
-                less = (cand[:, w] < best[:, w]) | ((cand[:, w] == best[:, w]) & less)
-            np.copyto(best, cand, where=less[:, None])
-    return best
+    cols = _cells(T, O, q, a)
+    best = cols.copy()
+    for lut, at in _relabelings(q, a, letters):
+        less = _renamed_less(cols, lut, at, best)
+        best[:, less] = lut[cols[at][:, less]]
+    return _words(best)
+
+
+def _orbit_least(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
+    """_words of the stacked tables that no relabeling makes smaller.
+
+    These are the tables that equal their own _least_cells row (a tie
+    from an automorphism does not drop a table), in input order.  Each
+    relabeling runs only on the tables that every earlier one kept.
+    """
+    cols = _cells(T, O, q, a)
+    for lut, at in _relabelings(q, a, letters):
+        cols = cols.compress(~_renamed_less(cols, lut, at, cols), axis=1)
+    return _words(cols)
 
 
 def _unique_rows(keys: np.ndarray) -> np.ndarray:
     """Distinct rows of a 2-d key array in lexicographic order."""
     s = keys[np.lexsort(keys.T[::-1])]
-    return s[np.r_[True, (s[1:] != s[:-1]).any(axis=1)]]
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]).any(axis=1)
+    return s[keep]
 
 
 def _key_bytes(words, q: int, a: int) -> bytes:
@@ -121,22 +185,28 @@ def from_canonical(key: bytes, name: str | None = None) -> Automaton:
 
 
 def _raw_batch(q: int, a: int, start: int, end: int):
-    """Invertible tables numbered start..end-1 as (T, O) index arrays."""
+    """Invertible tables numbered start..end-1 as (T, O) index arrays.
+
+    Digit s of a table's number in base C = a! * q^a (least significant
+    first) codes the row of state s: its outputs are permutation c // q^a,
+    its targets the base-q digits of c % q^a.
+    """
     outs = np.array(list(permutations(range(a))), dtype=np.int8)
     trows = q**a
     C = len(outs) * trows
-    idx = np.arange(start, end, dtype=np.int64)
-    T = np.empty((len(idx), q, a), dtype=np.int8)
-    O = np.empty((len(idx), q, a), dtype=np.int8)
-    tmp = idx.copy()
+    code = np.arange(C)
+    O_rows = outs[code // trows]
+    T_rows = ((code % trows)[:, None] // q ** np.arange(a - 1, -1, -1) % q).astype(np.int8)
+    T = np.empty((end - start, q, a), dtype=np.int8)
+    O = np.empty((end - start, q, a), dtype=np.int8)
+    rest = np.arange(start, end, dtype=np.int64)
     for s in range(q):
-        c = tmp % C
-        tmp //= C
-        O[:, s, :] = outs[(c // trows).astype(np.int64)]
-        tc = c % trows
-        for j in range(a - 1, -1, -1):
-            T[:, s, j] = (tc % q).astype(np.int8)
-            tc //= q
+        # a quotient and a product: numpy's % and divmod take longer here
+        nxt = rest // C
+        c = rest - nxt * C
+        rest = nxt
+        T[:, s] = T_rows.take(c, axis=0)
+        O[:, s] = O_rows.take(c, axis=0)
     return T, O
 
 
@@ -150,8 +220,14 @@ def table_space_size(q: int, a: int) -> int:
 
 
 def _slice_keys(q: int, a: int, lo: int, hi: int) -> np.ndarray:
-    T, O = _raw_batch(q, a, lo, hi)
-    return _unique_rows(_least_cells(T, O, q, a))
+    """Sorted keys of the tables lo..hi-1 that are least in their class.
+
+    The slice is decoded _CHUNK tables at a time, so its memory does not
+    grow with its length.
+    """
+    return _unique_rows(np.concatenate([
+        _orbit_least(*_raw_batch(q, a, s, min(hi, s + _CHUNK)), q, a)
+        for s in range(lo, hi, _CHUNK)]))
 
 
 def canonical_keys(
@@ -166,8 +242,9 @@ def canonical_keys(
     Row i is the least cell string of class i as _least_cells words;
     _key_bytes turns it into the canonical_form key.  Each batch of raw
     tables is split into at most jobs slices (and no more than the CPUs
-    available), canonicalized on threads, where numpy releases the GIL,
-    and united.  With cache_dir (default
+    available), filtered on threads, where numpy releases the GIL, and
+    united: a batch keeps the keys of its tables that are the least of
+    their class (see _orbit_least).  With cache_dir (default
     $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
     so an interrupted run resumes where it stopped.
     """
@@ -393,8 +470,7 @@ def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
     """
     T, O = _raw_batch(q, a, 0, table_space_size(q, a))
     hit = _table_properties(T, O)[:, _COCYCLIC]
-    state_keys = _unique_rows(_least_cells(T[hit], O[hit], q, a, letters=False))
-    return int(hit.sum()), len(state_keys)
+    return int(hit.sum()), len(_orbit_least(T[hit], O[hit], q, a, letters=False))
 
 
 def merge_reports(reports: list[CensusReport]) -> CensusReport:

@@ -11,8 +11,14 @@ from mealy import classify, levels
 from mealy.automaton import Automaton, builtin, inverse, properties, relabel
 from mealy.classify import (
     CensusReport,
+    _cells,
     _key_bytes,
     _least_cells,
+    _orbit_least,
+    _raw_batch,
+    _slice_keys,
+    _unique_rows,
+    _words,
     canonical_form,
     canonical_keys,
     classify_cotransitive,
@@ -127,6 +133,75 @@ def test_least_cells_matches_relabeling_oracle(machines):
     assert canonical_form(machines[0]) == bytes([q, a]) + _least_by_relabeling(machines[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(_table_stacks())
+def test_orbit_least_keeps_tables_equal_to_their_least_cells(machines):
+    q, a = machines[0].n_states, machines[0].n_letters
+    T = np.stack([M.t for M in machines])
+    O = np.stack([M.o for M in machines])
+    own = _words(_cells(T, O, q, a))
+    for letters in (True, False):
+        least = _least_cells(T, O, q, a, letters=letters)
+        kept = _orbit_least(T, O, q, a, letters=letters)
+        assert kept.shape == (int((least == own).all(axis=1).sum()), own.shape[1])
+        assert (kept == own[(least == own).all(axis=1)]).all()
+
+
+@pytest.mark.parametrize("q,a", [(2, 2), (3, 2), (2, 3)])
+def test_orbit_least_of_whole_space_is_the_key_set(q, a):
+    T, O = _raw_batch(q, a, 0, table_space_size(q, a))
+    want = _unique_rows(_least_cells(T, O, q, a))
+    assert (_unique_rows(_orbit_least(T, O, q, a)) == want).all()
+    assert (_slice_keys(q, a, 0, table_space_size(q, a)) == want).all()
+
+
+@pytest.mark.parametrize("q,a,cuts", [
+    # (4,2) tables 504,897..507,967 and (5,2) tables 123,523,152..123,532,499
+    # are no class's least table
+    (4, 2, [500_000, 503_001, 504_897, 507_968, 507_969, 510_000]),
+    (5, 2, [123_500_000, 123_511_111, 123_523_152, 123_532_500, 123_540_001]),
+])
+def test_slice_keys_are_the_least_cells_rows_of_their_own_tables(q, a, cuts):
+    empty = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        T, O = _raw_batch(q, a, lo, hi)
+        least = _least_cells(T, O, q, a)
+        got = _slice_keys(q, a, lo, hi)
+        assert got.shape[1] == least.shape[1]
+        assert (got == _unique_rows(least[(least == _words(_cells(T, O, q, a))).all(axis=1)])).all()
+        empty += len(got) == 0
+    assert empty == 1
+
+
+def test_unique_rows_of_no_rows():
+    for width in (1, 2):
+        out = _unique_rows(np.zeros((0, width), dtype=np.uint64))
+        assert out.shape == (0, width) and out.dtype == np.uint64
+    rows = np.array([[3, 1], [2, 9], [3, 1]], dtype=np.uint64)
+    assert _unique_rows(rows).tolist() == [[2, 9], [3, 1]]
+
+
+def _raw_table(q, a, i):
+    # oracle: table i of the numbering, one digit at a time
+    outs = list(permutations(range(a)))
+    T, O = [], []
+    for _ in range(q):
+        i, c = divmod(i, len(outs) * q**a)
+        O.append(outs[c // q**a])
+        T.append([c % q**a // q ** (a - 1 - j) % q for j in range(a)])
+    return T, O
+
+
+@pytest.mark.parametrize("q,a,lo,hi", [(1, 1, 0, 1), (2, 2, 0, 576), (3, 3, 98_765, 99_001),
+                                       (5, 2, 312_499_900, 312_500_000)])
+def test_raw_batch_numbers_tables(q, a, lo, hi):
+    T, O = _raw_batch(q, a, lo, hi)
+    assert T.shape == O.shape == (hi - lo, q, a) and T.dtype == O.dtype == np.int8
+    for k in range(0, hi - lo, 7):
+        t, o = _raw_table(q, a, lo + k)
+        assert T[k].tolist() == t and O[k].tolist() == [list(r) for r in o]
+
+
 @pytest.mark.parametrize("name", ["bellaterra", "aleshin", "adding", "div3", "conjugator",
                                   "bireversible52", "affine(3,4)", "affine(5,3)"])
 def test_canonical_form_of_builtins_matches_oracle(name):
@@ -143,7 +218,7 @@ def test_key_cache_is_read_back(tmp_path, monkeypatch):
     def no_canonicalizing(*args, **kwargs):
         raise AssertionError("a cached batch was canonicalized again")
 
-    monkeypatch.setattr(classify, "_least_cells", no_canonicalizing)
+    monkeypatch.setattr(classify, "_orbit_least", no_canonicalizing)
     again = canonical_keys(3, 2, cache_dir=str(tmp_path))
     assert again.dtype == want.dtype and (again == want).all()
 

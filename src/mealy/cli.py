@@ -29,7 +29,7 @@ from .bellaterra import (
 from .classify import classify_cotransitive, table_space_size
 from .levels import _oversize, _search_levels, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
-from .spectral import CSV_HEADER, gap_series, write_gap_csv, write_gap_dat
+from .spectral import CSV_HEADER, SolverError, gap_series, write_gap_csv, write_gap_dat
 from .transitivity import cotransitivity, first_intransitive_level
 
 LONG_RUN_TABLES = 1 << 22
@@ -393,6 +393,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError, KeyError, OSError, MemoryError, WitnessNotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except SolverError as e:  # the input was fine; the eigen solve was not
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

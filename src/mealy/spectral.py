@@ -26,13 +26,21 @@ is computed this way, as a chain of lifts from the single vertex of level
 level is solved in full and the gaps along a chain are non-increasing by
 construction.
 
-Fiber matrices are solved dense up to DENSE_CAP rows and by Lanczos
-(ARPACK) above it, with a fixed seeded start vector so that output
-repeats byte for byte.  Lanczos asks for a relative tolerance of 1e-10,
-and of 1e-6 where that does not converge; the report's tolerance field
-says which.  Every report carries the largest residual ||Sx - lambda x||
-of the eigenpairs solved for it.  No graph above SPECTRAL_CAP vertices is
-solved: MemoryError instead, so no accepted size allocates gigabytes.
+Fiber matrices are solved dense up to DENSE_CAP rows, one
+scipy.linalg.eigh call per extreme, and by Lanczos (ARPACK) above it,
+with a fixed seeded start vector so that output repeats byte for byte.
+Only scipy's LAPACK and BLAS run: numpy bundles a second OpenBLAS, whose
+threads would compete with scipy's for the same cores.  Lanczos first
+asks for both extremes at once (k = 2, "BE") with at most _BE_RESTARTS
+restarts.  Where that gives up, as on fibers whose extremes crowd
+together (a cycle's within about 1/nv^2), the two extremes are solved one
+at a time ("SA", then "LA"), and every later level of the chain starts
+with that split.  Lanczos asks for a relative tolerance of 1e-10, and the
+split of 1e-6 where that does not converge; the report's tolerance field
+says which, and SolverError names the level where neither does.  Every
+report carries the largest residual ||Sx - lambda x|| of the eigenpairs
+solved for it.  No graph above SPECTRAL_CAP vertices is solved:
+MemoryError instead, so no accepted size allocates gigabytes.
 """
 
 from __future__ import annotations
@@ -45,12 +53,23 @@ from .automaton import Automaton
 from .levels import level_maps
 from .schreier import SchreierGraph
 
-# on aleshin, bellaterra and div3 fibers (2 vCPUs) Lanczos took 6-99 ms at 512
-# and 1,024 rows, dense eigh 37-274 ms; they were about even at 128 and 256
+# on aleshin, bellaterra, div3, bireversible52 and adding fibers (2 vCPUs, one
+# LAPACK) dense took 0.9-1.5 ms at 128 rows against 1.3-17 ms for Lanczos; at
+# 256 rows 3.8-6.1 against 1.3-31 ms, either side winning by machine; at 512
+# rows Lanczos wins (2-12 against 17-26 ms) except on bellaterra and adding
 DENSE_CAP = 1 << 7
 SPECTRAL_CAP = 1 << 20
 _LANCZOS_TOL = 1e-10
 _FALLBACK_TOL = 1e-6
+# restarts of the k=2 "BE" solve before the split takes over (see _lanczos);
+# the BE solve needs 2-25 restarts on aleshin, div3 and bireversible52 fibers
+# of 256 to 131,072 rows, and bellaterra 27 and 46 at levels 9 and 10, then
+# 97-1,260 at levels 11-15, where the split needs 33-151 for both extremes
+_BE_RESTARTS = 50
+
+
+class SolverError(RuntimeError):
+    """A Lanczos fiber solve that converged at neither tolerance."""
 
 
 @dataclass
@@ -124,35 +143,58 @@ def _fiber_matrix(P: np.ndarray, a: int):
     return _sparse_adjacency(P[:, :h] % h, blocks / np.sqrt(norm2 * norm2.T))
 
 
-def _extremes(S):
+def _lanczos(S, split: bool):
+    """Extreme eigenpairs of S by Lanczos from a seeded start vector.
+
+    Returns (vals, vecs, tolerance, split).  Unless split is set, one
+    eigsh(k=2, which="BE") runs with at most _BE_RESTARTS restarts; when it
+    gives up, or when split is set, two k=1 solves ("SA", then "LA") run
+    instead, at 1e-10 and then at 1e-6.  split in the result says whether
+    the split ran.  SolverError when neither tolerance converges.
+    """
+    import scipy.sparse.linalg as spl
+
+    v0 = np.random.default_rng(0).standard_normal(S.shape[0])
+    if not split:
+        try:
+            vals, vecs = spl.eigsh(S, k=2, which="BE", tol=_LANCZOS_TOL, v0=v0,
+                                   maxiter=_BE_RESTARTS)
+            return vals, vecs, _LANCZOS_TOL, False
+        except spl.ArpackNoConvergence:
+            pass
+    for tol in (_LANCZOS_TOL, _FALLBACK_TOL):
+        try:
+            (lo, x), (hi, y) = (spl.eigsh(S, k=1, which=w, tol=tol, v0=v0) for w in ("SA", "LA"))
+        except spl.ArpackNoConvergence as e:
+            failure = e
+            continue
+        return np.concatenate([lo, hi]), np.hstack([x, y]), tol, True
+    raise SolverError(f"Lanczos did not converge at tolerance {_FALLBACK_TOL:g}") from failure
+
+
+def _extremes(S, split: bool):
     """The smallest and the largest eigenvalue of the symmetric sparse S.
 
-    Returns (lo, hi, solver, tolerance, residual), the residual being the
-    larger ||Sx - lambda x|| of the two eigenpairs.  Dense eigh up to
-    DENSE_CAP rows, Lanczos above it.
+    Returns (lo, hi, solver, tolerance, residual, split), the residual being
+    the larger ||Sx - lambda x|| of the two eigenpairs and split saying
+    whether Lanczos ran as two k=1 solves (see _lanczos).  Dense up to
+    DENSE_CAP rows, one scipy.linalg.eigh per extreme; Lanczos above it.
     """
     nv = S.shape[0]
     if nv <= max(DENSE_CAP, 2):  # Lanczos for two eigenpairs needs three rows
-        vals, vecs = np.linalg.eigh(S.toarray())
-        vals, vecs = vals[[0, -1]], vecs[:, [0, -1]]
+        from scipy.linalg import eigh
+
+        A = S.toarray()
+        (lo, x), (hi, y) = (eigh(A, subset_by_index=[i, i]) for i in (0, nv - 1))
+        vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
         solver, tol = "dense", 1e-9
     else:
-        import scipy.sparse.linalg as spl
-
-        v0 = np.random.default_rng(0).standard_normal(nv)
-        tol = _LANCZOS_TOL
-        try:
-            vals, vecs = spl.eigsh(S, k=2, which="BE", tol=tol, v0=v0)
-        except spl.ArpackNoConvergence:
-            # extremes packed within about 1/nv^2 of each other (a cycle)
-            # need about nv iterations; a second failure propagates
-            tol = _FALLBACK_TOL
-            vals, vecs = spl.eigsh(S, k=2, which="BE", tol=tol, v0=v0)
+        vals, vecs, tol, split = _lanczos(S, split)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         solver = "iterative"
     residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
-    return float(vals[0]), float(vals[1]), solver, tol, residual
+    return float(vals[0]), float(vals[1]), solver, tol, residual, split
 
 
 def _check_size(nv: int) -> None:
@@ -169,7 +211,7 @@ def _chain(P: np.ndarray, a: int, n: int):
     significant digit.  lambda_2 and lambda_min become max(lambda_2, fiber
     max) and min(lambda_min, fiber min); lambda_max stays the degree.
     """
-    nq = len(P)
+    nq, split = len(P), False
     # single vertex: no lambda_2; the gap is reported as the 2|Q| sentinel
     r = SpectrumReport(0, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, "dense", 0.0,
                        residual=0.0)
@@ -179,7 +221,11 @@ def _chain(P: np.ndarray, a: int, n: int):
             r = replace(r, level=k)
         else:
             h = a**k
-            lo, hi, solver, tol, residual = _extremes(_fiber_matrix(P[:, :h] % h, a))
+            try:
+                lo, hi, solver, tol, residual, split = _extremes(
+                    _fiber_matrix(P[:, :h] % h, a), split)
+            except SolverError as e:
+                raise SolverError(f"level {k}: {e}") from e
             # the fiber matrix sums |Q| orthogonal blocks, so rounding alone
             # can carry an extreme past the degree
             lo, hi = max(lo, -nq), min(hi, nq)
@@ -215,7 +261,8 @@ def gap_series(M: Automaton, n_min: int, n_max: int) -> list[SpectrumReport]:
     Rows n_min..n_max of the lift chain from level 0 over the level-n_max
     map, so the gaps are non-increasing.  ValueError for a level below 0 or
     a non-invertible automaton; MemoryError before any level is built when
-    level n_max has more than SPECTRAL_CAP vertices.
+    level n_max has more than SPECTRAL_CAP vertices; SolverError when a
+    fiber's Lanczos solve converges at neither tolerance.
     """
     if n_min < 0:
         raise ValueError(f"level {n_min} is below 0")

@@ -83,6 +83,22 @@ def test_gap_over_three_letters_is_reproducible_and_non_increasing(tmp_path):
     assert gaps[-1] < gaps[0]
 
 
+def test_gap_solver_failure_is_error_line(monkeypatch, capsys):
+    import numpy as np
+    import scipy.sparse.linalg as spl
+
+    def never_converges(S, **kw):
+        raise spl.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spl, "eigsh", never_converges)
+    # level 9 is the first level whose fiber matrix (256 rows) runs Lanczos
+    assert run(["gap", "--builtin", "aleshin", "--from", "6", "--to", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: level 9: ")
+    assert "tolerance 1e-06" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["schreier", "--builtin", "aleshin", "--level", "-2"],
     ["schreier", "--builtin", "aleshin", "--level", "1000000000"],

@@ -241,10 +241,10 @@ def test_lanczos_output_repeats_exactly(monkeypatch):
 
 
 def test_lanczos_falls_back_to_looser_tolerance(monkeypatch):
-    eigsh, tols = spl.eigsh, []
+    eigsh, calls = spl.eigsh, []
 
     def strict_fails(S, **kw):
-        tols.append(kw["tol"])
+        calls.append((kw["which"], kw["tol"]))
         if kw["tol"] < 1e-8:
             raise spl.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
         return eigsh(S, **kw)
@@ -253,11 +253,62 @@ def test_lanczos_falls_back_to_looser_tolerance(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_CAP", 8)
     G = build(A, 7)
     r = spectrum(G)
-    # the fibers of levels 5, 6 and 7 have 16, 32 and 64 rows: each Lanczos row retries
-    assert tols == [1e-10, 1e-6] * 3
+    # the fibers of levels 5, 6 and 7 have 16, 32 and 64 rows.  Level 5 tries
+    # BE, then the split at 1e-10, then the split at 1e-6; BE gave up there,
+    # so levels 6 and 7 start with the split
+    split = [("SA", 1e-10), ("SA", 1e-6), ("LA", 1e-6)]
+    assert calls == [("BE", 1e-10)] + split * 3
     assert (r.solver, r.tolerance) == ("iterative", 1e-6)
     assert r.residual < 1e-4
     assert r.gap == pytest.approx(3 * _dense_extremes(A, 7)[3], abs=1e-8)
+
+
+def _fiber_reference(M, k):
+    """Extremes of the level-k fiber matrix of a binary machine from the dense
+    adjacency matrix of level k: the fiber of v is {v, v + h}, h = 2^(k-1),
+    and A restricted to the functions f(v) = -f(v + h) is its fiber matrix."""
+    Adj, h = adjacency(build(M, k)), 2 ** (k - 1)
+    D = (Adj[:h, :h] - Adj[:h, h:] - Adj[h:, :h] + Adj[h:, h:]) / 2
+    vals = np.linalg.eigvalsh(D)
+    return vals[0], vals[-1]
+
+
+@pytest.mark.parametrize("name, be_gives_up", [("bellaterra", True), ("div3", False)])
+def test_lanczos_routes_agree_with_dense_fiber(name, be_gives_up, monkeypatch):
+    eigsh, which = spl.eigsh, []
+
+    def counted(S, **kw):
+        which.append(kw["which"])
+        return eigsh(S, **kw)
+
+    monkeypatch.setattr(spl, "eigsh", counted)
+    M, k = builtin(name), 11
+    S = spectral._fiber_matrix(level_maps(M, k), 2)
+    assert S.shape[0] == 1024
+    want = _fiber_reference(M, k)
+    # BE first (and the split after it where BE gives up), then the split alone
+    for split, calls in ((False, ["BE"] + ["SA", "LA"] * be_gives_up), (True, ["SA", "LA"])):
+        which.clear()
+        lo, hi, solver, tol, residual, used = spectral._extremes(S, split)
+        assert (which, used) == (calls, "SA" in calls)
+        assert (solver, tol) == ("iterative", 1e-10)
+        assert residual < 1e-8
+        assert lo == pytest.approx(want[0], abs=1e-9)
+        assert hi == pytest.approx(want[1], abs=1e-9)
+
+
+def test_chain_never_calls_numpy_eigensolvers(monkeypatch):
+    # one LAPACK, scipy's: numpy's eigh would wake a second BLAS thread pool
+    rows = [repr(dataclasses.astuple(r)) for r in gap_series(A, 0, 12)]
+
+    def forbidden(*args, **kw):
+        raise AssertionError("numpy.linalg eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    series = gap_series(A, 0, 12)
+    assert {r.solver for r in series} == {"dense", "iterative"}
+    assert [repr(dataclasses.astuple(r)) for r in series] == rows
 
 
 def test_spectral_cap_raises_before_building(monkeypatch):

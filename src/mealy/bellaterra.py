@@ -30,7 +30,7 @@ from math import ceil, log2
 import numpy as np
 
 from .automaton import Automaton, act_inf, builtin, dual, dual_act
-from .levels import _walk, all_level_maps, invert_perm
+from .levels import _digits, _walk, all_level_maps, invert_perm
 from .ratfunc import RationalSeries
 from .transitivity import _char_rationals, char_coeffs
 from .words import EventuallyPeriodicWord
@@ -149,7 +149,7 @@ def _conjugated_maps(n: int):
 
 
 def _index_ud(v: int, k: int) -> str:
-    return "".join((UP, DOWN)[(v >> i) & 1] for i in range(k))
+    return "".join((UP, DOWN)[d] for d in _digits(v, 2, k))
 
 
 @dataclass
@@ -172,8 +172,8 @@ def wreath_table_check(n: int = 10) -> WreathReport:
     map at u equals the a0c map on levels <= min(n-1, 8).
     """
     lhs, failures = _conjugated_maps(n)
-    rhs = all_level_maps(wreath_automaton(), n)
     W = wreath_automaton()
+    rhs = all_level_maps(W, n)
     for key in SIX:
         si = W.state_index(key)
         for k in range(n + 1):

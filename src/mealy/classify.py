@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -213,10 +214,7 @@ def _raw_batch(q: int, a: int, start: int, end: int):
 def table_space_size(q: int, a: int) -> int:
     if q < 1 or a < 1:
         raise ValueError(f"a census needs at least one state and one letter, not ({q},{a})")
-    fact = 1
-    for i in range(2, a + 1):
-        fact *= i
-    return (fact * q**a) ** q
+    return (factorial(a) * q**a) ** q
 
 
 def _slice_keys(q: int, a: int, lo: int, hi: int) -> np.ndarray:

@@ -71,7 +71,7 @@ def _load(args: argparse.Namespace) -> Automaton:
         try:
             return builtin(args.builtin)
         except KeyError as e:
-            raise UsageError(str(e)) from None
+            raise UsageError(e.args[0]) from None
     if args.file:
         try:
             with open(args.file) as fh:
@@ -391,7 +391,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, started)
     except (UsageError, ValueError, KeyError, OSError, MemoryError, WitnessNotFound) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 2
     except SolverError as e:  # the input was fine; the eigen solve was not
         print(f"error: {e}", file=sys.stderr)

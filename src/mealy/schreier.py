@@ -11,6 +11,8 @@ x^n.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .automaton import Automaton, _rows, _run, act, group_section
@@ -123,13 +125,12 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
                    for s in range(0, nv, _PASS_SOURCES))
     if mode != "bound":
         raise ValueError("mode must be 'exact' or 'bound'")
-    ecc0 = eccentricity(G, 0)
     rng = np.random.default_rng(seed)
     sources = {0}
     if nv > 1:
         sources |= {int(v) for v in rng.integers(0, nv, size=min(sample, nv))}
-    lower = max(eccentricity(G, v) for v in sources)
-    return (lower, 2 * ecc0)
+    ecc = {v: eccentricity(G, v) for v in sources}
+    return (max(ecc.values()), 2 * ecc[0])
 
 
 # -- implicit word walks ------------------------------------------------------
@@ -257,10 +258,6 @@ def first_divergence(M: Automaton, w: GroupWord, x: str) -> int | None:
     return None
 
 
-_CYCLER_CACHE_SIZE = 256
-_cycler_cache: dict[tuple, GroupWord] = {}  # oldest entry evicted first
-
-
 def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> GroupWord:
     """A group word fixing x^m whose image of x x x... first diverges at m.
 
@@ -268,11 +265,11 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
     if u fixes x^k and moves position k, its section at x^{k-m} fixes x^m
     and moves position m.
     """
-    budget = budget if budget is not None else max(2 * (m + 1), 8)
-    key = (M, x, m, budget)
-    got = _cycler_cache.get(key)
-    if got is not None:
-        return got
+    return _level_cycler(M, x, m, budget if budget is not None else max(2 * (m + 1), 8))
+
+
+@lru_cache(maxsize=256)
+def _level_cycler(M: Automaton, x: str, m: int, budget: int) -> GroupWord:
     u = find_level_witness(M, x, m, budget)
     k = first_divergence(M, u, x)
     assert k is not None and k >= m, "witness contract violated"
@@ -280,9 +277,6 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
     if k > m:
         w = group_section(M, u, (x,) * (k - m)).reduce()
         assert first_divergence(M, w, x) == m
-    if len(_cycler_cache) >= _CYCLER_CACHE_SIZE:
-        del _cycler_cache[next(iter(_cycler_cache))]
-    _cycler_cache[key] = w
     return w
 
 

@@ -282,36 +282,15 @@ def stabilizes_infinite(M: Automaton, w, x: str) -> bool:
 def orbit_cycle(M: Automaton, x: str, v) -> tuple[int, int]:
     """(preperiod, period) of the state word v under repeated tau_x.
 
-    Brent's cycle detection; for reversible automata the preperiod is 0 and
-    the period is the orbit size.
+    Feeds x through the rows of v until the row tuple repeats, as
+    first_divergence does: one _run call and one `seen` entry per orbit
+    point.  For reversible automata the preperiod is 0 and the period is
+    the orbit size; the empty word repeats at once, (0, 1).
     """
-    start = tuple(M.state_index(q) for q in v)
-    if len(start) == 0:
-        return (0, 1)
     xi, steps = M.letter_index(x), M.step_table()
-
-    def f(word: tuple[int, ...]) -> tuple[int, ...]:
-        rows = list(word)
+    rows = [M.state_index(q) for q in v]
+    seen: dict[tuple, int] = {}
+    while (key := tuple(rows)) not in seen:
+        seen[key] = len(seen)
         _run(steps, rows, [xi])
-        return tuple(rows)
-
-    # Brent: find the period first, then the preperiod
-    power, period = 1, 1
-    tortoise = start
-    hare = f(start)
-    while tortoise != hare:
-        if power == period:
-            tortoise = hare
-            power *= 2
-            period = 0
-        hare = f(hare)
-        period += 1
-    tortoise = hare = start
-    for _ in range(period):
-        hare = f(hare)
-    preperiod = 0
-    while tortoise != hare:
-        tortoise = f(tortoise)
-        hare = f(hare)
-        preperiod += 1
-    return (preperiod, period)
+    return (seen[key], len(seen) - seen[key])

@@ -133,6 +133,15 @@ def test_size_without_an_answer_is_usage_error(args, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("args, start", [
+    (["act", "--builtin", "bellaterra", "--word", "x", "--input", "00"], "error: unknown state 'x'"),
+    (["info", "--builtin", "nosuch"], "error: unknown builtin 'nosuch'"),
+])
+def test_unknown_name_error_line_is_unquoted(args, start, capsys):
+    assert run(args) == 2
+    assert capsys.readouterr().err.startswith(start)
+
+
 def test_gap_above_spectral_cap_is_usage_error(capsys):
     assert run(["gap", "--builtin", "div3", "--from", "21", "--to", "21"]) == 2
     err = capsys.readouterr().err

@@ -219,10 +219,10 @@ def test_level_cycler_cache_keys_on_budget():
 
 
 def test_level_cycler_cache_is_bounded():
-    from mealy.schreier import _CYCLER_CACHE_SIZE, _cycler_cache
-    for b in range(_CYCLER_CACHE_SIZE + 5):
+    from mealy.schreier import _level_cycler
+    for b in range(256 + 5):
         level_cycler(B, "1", 0, budget=b + 1)
-    assert len(_cycler_cache) <= _CYCLER_CACHE_SIZE
+    assert _level_cycler.cache_info().currsize <= 256
 
 
 @settings(deadline=None)

@@ -229,6 +229,29 @@ def test_orbit_cycle_identity_word():
     assert (pre, per) == (0, 1)
 
 
+def test_orbit_cycle_empty_word():
+    assert orbit_cycle(DIV, "0", "") == (0, 1)
+
+
+# p reads 0 -> q and q reads 0 -> p, but both go to q on 1: the dual is not invertible
+NONINV = Automaton(["p", "q"], ["0", "1"], [[1, 1], [0, 1]], [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("M, v, expected", [(DIV, "0001", (0, 54)), (NONINV, "qqpp", (2, 2))])
+def test_orbit_cycle_runs_once_per_orbit_point(monkeypatch, M, v, expected):
+    import mealy.transitivity as tr
+    calls = []
+    run = tr._run
+
+    def counted(steps, rows, word):
+        calls.append(tuple(rows))
+        return run(steps, rows, word)
+
+    monkeypatch.setattr(tr, "_run", counted)
+    assert orbit_cycle(M, "0", v) == expected
+    assert len(calls) == sum(expected) == len(set(calls))
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(2, 3), st.integers(2, 3), st.data())
 def test_orbit_cycle_matches_rho_on_dual_level_map(nq, na, data):

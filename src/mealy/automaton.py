@@ -500,11 +500,19 @@ def _run(steps, rows: list[int], letters) -> list[int]:
     Each row reads the word written by the row to its right and is left in
     rows at its section after that word, so calling again continues the
     same infinite input.  The only loop that walks letter words through the
-    step table.  It goes letter by letter, which suits the callers that feed
-    one letter or a short word through many rows; act_inf instead feeds long
-    words through a one-row cascade.
+    step table.  A one-row cascade (act_inf, the index-coded word walks)
+    keeps its row in a local and writes it back at the end; a longer one
+    goes letter by letter through all rows, which suits the callers that
+    feed one letter or a short word through many rows.
     """
     out = []
+    if len(rows) == 1:
+        r = rows[0]
+        for xi in letters:
+            xi, r = steps[r][xi]
+            out.append(xi)
+        rows[0] = r
+        return out
     cascade = range(len(rows) - 1, -1, -1)
     for xi in letters:
         for j in cascade:

@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, log2
+from operator import eq
 
 import numpy as np
 
-from .automaton import Automaton, act_inf, builtin, dual, dual_act
+from .automaton import Automaton, _run, act_inf, builtin, dual
 from .levels import _digits, _walk, all_level_maps, invert_perm
 from .ratfunc import RationalSeries
 from .transitivity import _char_rationals, char_coeffs
@@ -234,25 +235,30 @@ def _reduced_ending_count(n: int) -> int:
 
 
 def lemma_transitive_check(n: int) -> bool:
-    """Single dual orbit on the 2^n reduced words of length n ending in a/c."""
+    """Single dual orbit on the 2^n reduced words of length n ending in a/c.
+
+    The state word is held as state indices and stepped in place by the
+    dual action of the letter 1.
+    """
+    if n < 0:
+        raise ValueError(f"level {n} is below 0")
     if n == 0:
         return True
     expected = _reduced_ending_count(n)
     if expected != 1 << n:
         return False
     B = builtin("bellaterra")
-    seed = []
-    cur = "a"
-    for _ in range(n):
-        seed.append(cur)
-        cur = "b" if cur == "a" else "a"
-    seed = "".join(reversed(seed))
-    w = seed
+    steps = B.step_table()
+    one = [B.letter_index("1")]
+    ends = (B.state_index("a"), B.state_index("c"))
+    # ... b a b a, ending in a
+    seed = [B.state_index("ab"[(n - 1 - i) % 2]) for i in range(n)]
+    w = list(seed)
     size = 0
     while True:
-        w = dual_act(B, w, "1")
+        _run(steps, w, one)
         size += 1
-        if w[-1] not in ("a", "c") or any(w[i] == w[i + 1] for i in range(n - 1)):
+        if w[-1] not in ends or any(map(eq, w, w[1:])):
             return False  # escaped the set: the invariance claim failed
         if w == seed:
             break

@@ -286,28 +286,31 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
     At level m the current image already starts with x^m; the level-m
     cycler's section permutes the letter at position m by a nontrivial power
     of the alphabet cycle, so at most |A| - 1 applications fix it.  The
-    result is length O(n^2) and is verified by act before returning.
+    image is kept as letter indices, and each application runs the
+    cycler's section at x^m on its tail from position m.  The result is
+    length O(n^2) and is verified by act before returning.
     """
     letters = tuple(s)
-    n = len(letters)
-    target = (x,) * n
-    cur = letters
-    total = GroupWord()
-    p = M.n_letters
-    for m in range(n):
-        if cur[m] == x:
+    xi = M.letter_index(x)
+    cur = [M.letter_index(y) for y in letters]
+    steps, p = M.step_table(), M.n_letters
+    applied: list[GroupWord] = []
+    for m in range(len(cur)):
+        if cur[m] == xi:
             continue
         cyc = level_cycler(M, x, m)
-        applied = 0
-        while cur[m] != x:
-            applied += 1
-            if applied > p:
-                raise RuntimeError("cycler failed to move the level letter through a full cycle")
-            cur = tuple(act(M, cyc, cur))
-            total = cyc * total
-        assert cur[: m + 1] == (x,) * (m + 1)
-    total = total.reduce()
-    assert tuple(act(M, total, letters)) == target, "steering self-check failed"
+        section = _rows(M, cyc)
+        _run(steps, section, [xi] * m)  # the cycler fixes x^m
+        for _ in range(p):
+            cur[m:] = _run(steps, list(section), cur[m:])
+            applied.append(cyc)
+            if cur[m] == xi:
+                break
+        else:
+            raise RuntimeError("cycler failed to move the level letter through a full cycle")
+        assert cur[: m + 1] == [xi] * (m + 1)
+    total = GroupWord(q for cyc in reversed(applied) for q in cyc).reduce()
+    assert tuple(act(M, total, letters)) == (x,) * len(letters), "steering self-check failed"
     return total
 
 

@@ -22,7 +22,7 @@ from mealy.automaton import (
     union,
 )
 from mealy.classify import _raw_batch, table_space_size
-from mealy.levels import level_permutation
+from mealy.levels import index_word, level_maps, level_permutation, word_index
 from mealy.words import EventuallyPeriodicWord, GroupWord
 
 B = builtin("bellaterra")
@@ -250,6 +250,29 @@ def test_act_inf_matches_cascade(name):
                 e = EventuallyPeriodicWord(pre, per)
                 assert e.h() == len(pre)
                 assert act_inf(M, w, e) == _act_inf_cascade(M, w, e), (w, e)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_one_row_run_matches_level_maps(name):
+    # act of one state or inverse state runs _run's one-row path; the level
+    # maps come from the table recursion and never call _run
+    M = builtin(name)
+    for n in range(9):
+        maps = level_maps(M, n)
+        for qi, q in enumerate(M.states):
+            for w, perm in ((q, maps[qi]), (q + "'", level_permutation(M, q + "'", n))):
+                for v in range(M.n_letters**n):
+                    img = act(M, w, index_word(M, v, n))
+                    assert word_index(M, img) == perm[v], (w, n, v)
+
+
+def test_run_of_empty_input_leaves_rows():
+    steps = B.step_table()
+    for r in range(len(steps)):
+        rows = [r]
+        assert automaton._run(steps, rows, []) == [] and rows == [r]
+    rows = [0, 4, 2, 1]
+    assert automaton._run(steps, rows, []) == [] and rows == [0, 4, 2, 1]
 
 
 def test_act_inf_matches_cascade_on_long_periods():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy import bellaterra, transitivity
-from mealy.automaton import act, builtin, dual_act, properties
+from mealy.automaton import act, builtin, dual, dual_act, properties
 from mealy.bellaterra import (
     SIX,
     WREATH_TABLE,
@@ -22,6 +22,7 @@ from mealy.bellaterra import (
     wreath_automaton,
     wreath_table_check,
 )
+from mealy.levels import index_word, level_maps, word_index
 from mealy.ratfunc import one_over_one_minus_t, t_over_one_minus_t, RationalSeries, Poly
 from mealy.words import EventuallyPeriodicWord as EPW
 
@@ -122,6 +123,39 @@ def test_F_solution_raises_when_a_cross_check_fails(monkeypatch):
 def test_lemma_transitive_small_levels():
     for n in range(0, 12):
         assert lemma_transitive_check(n)
+
+
+def test_lemma_orbit_by_level_maps():
+    # the seed word's cycle under the dual state 1, walked on the level maps
+    # of the dual (no _run): 2^n reduced words, each ending in a or c.  The
+    # dual action reads a state word from the right, so the level maps see
+    # it reversed
+    D = dual(builtin("bellaterra"))
+    for n in range(1, 11):
+        step = level_maps(D, n)[D.state_index("1")]
+        seed = "".join("ab"[i % 2] for i in range(n))  # reversed: ... b a
+        v0 = v = word_index(D, seed)
+        orbit = []
+        while True:
+            v = int(step[v])
+            orbit.append("".join(reversed(index_word(D, v, n))))
+            if v == v0:
+                break
+        assert len(orbit) == 1 << n
+        assert all(w[-1] in "ac" and all(x != y for x, y in zip(w, w[1:])) for w in orbit)
+        assert lemma_transitive_check(n)
+
+
+def test_lemma_fails_on_aleshin(monkeypatch):
+    # aleshin's states are also a, b, c, but its dual orbit leaves the set
+    monkeypatch.setattr(bellaterra, "builtin", lambda name: builtin("aleshin"))
+    for n in range(2, 7):
+        assert lemma_transitive_check(n) is False
+
+
+def test_lemma_rejects_negative_level():
+    with pytest.raises(ValueError, match="level -1 is below 0"):
+        lemma_transitive_check(-1)
 
 
 def test_dual_action_preserves_reduced_form():

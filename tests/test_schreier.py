@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product as iproduct
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy import schreier
-from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin
+from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin, dual
 from mealy.levels import index_word, level_permutation, word_index
 from mealy.schreier import (
     EXACT_DIAMETER_CAP,
@@ -230,6 +231,48 @@ def test_level_cycler_cache_is_bounded():
 def test_steer_to_reaches_target(s):
     w = steer_to(A, "0", s)
     assert act(A, w, s) == "0" * len(s)
+
+
+def _steer_naive(M, x, s, counts):
+    """steer_to on letter symbols: act on the whole image for every applied
+    cycler, and one product per application; appends the number of
+    applications per level to counts."""
+    letters = tuple(s)
+    cur = letters
+    total = GroupWord()
+    for m in range(len(letters)):
+        if cur[m] == x:
+            continue
+        cyc = level_cycler(M, x, m)
+        applied = 0
+        while cur[m] != x:
+            applied += 1
+            if applied > M.n_letters:
+                raise RuntimeError("cycler failed to move the level letter through a full cycle")
+            cur = tuple(act(M, cyc, cur))
+            total = cyc * total
+        counts.append(applied)
+    return total.reduce()
+
+
+def _steer_outcome(steer, *args):
+    try:
+        return steer(*args)
+    except RuntimeError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("M", [A, B, dual(builtin("div3"))], ids=["aleshin", "bellaterra", "dual-div3"])
+def test_steer_to_matches_symbol_loop(M):
+    counts = []
+    # every word of length <= 8 over two letters, <= 6 over three
+    for n in range(9 if M.n_letters == 2 else 7):
+        for s in iproduct(M.alphabet, repeat=n):
+            for x in M.alphabet:
+                want = _steer_outcome(_steer_naive, M, x, s, counts)
+                assert _steer_outcome(steer_to, M, x, s) == want, (x, s)
+    # the 3-letter alphabet of dual(div3) needs a cycler twice on one level
+    assert max(counts) == M.n_letters - 1
 
 
 def test_steer_word_length_quadratic():

@@ -41,7 +41,7 @@ from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_
 CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
 _COCYCLIC = Properties.__slots__.index("cocyclic")  # its column of _table_properties
-_CHUNK = 1 << 16  # raw tables one slice of the key pass decodes at a time
+_CHUNK = 1 << 16  # most raw tables one share of the key pass decodes
 
 
 @lru_cache(maxsize=None)
@@ -217,17 +217,6 @@ def table_space_size(q: int, a: int) -> int:
     return (factorial(a) * q**a) ** q
 
 
-def _slice_keys(q: int, a: int, lo: int, hi: int) -> np.ndarray:
-    """Sorted keys of the tables lo..hi-1 that are least in their class.
-
-    The slice is decoded _CHUNK tables at a time, so its memory does not
-    grow with its length.
-    """
-    return _unique_rows(np.concatenate([
-        _orbit_least(*_raw_batch(q, a, s, min(hi, s + _CHUNK)), q, a)
-        for s in range(lo, hi, _CHUNK)]))
-
-
 def canonical_keys(
     q: int,
     a: int,
@@ -239,10 +228,11 @@ def canonical_keys(
 
     Row i is the least cell string of class i as _least_cells words;
     _key_bytes turns it into the canonical_form key.  Each batch of raw
-    tables is split into at most jobs slices (and no more than the CPUs
-    available), filtered on threads, where numpy releases the GIL, and
-    united: a batch keeps the keys of its tables that are the least of
-    their class (see _orbit_least).  With cache_dir (default
+    tables is split into shares of at most _CHUNK tables, at least one per
+    worker (at most jobs, and no more than the CPUs available), filtered
+    on threads, where numpy releases the GIL, and sorted: a batch keeps
+    the tables that are the least of their class (see _orbit_least), so
+    its keys are distinct.  With cache_dir (default
     $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
     so an interrupted run resumes where it stopped.
     """
@@ -264,10 +254,10 @@ def canonical_keys(
                     continue
             lo = bi * batch_size
             hi = min(N, lo + batch_size)
-            k = min(workers, hi - lo)
-            cuts = [lo + (hi - lo) * i // k for i in range(k + 1)]
-            slices = ex.map(lambda i: _slice_keys(q, a, cuts[i], cuts[i + 1]), range(k))
-            uniq = _unique_rows(np.concatenate(list(slices)))
+            step = min(_CHUNK, -(-(hi - lo) // workers))
+            shares = ex.map(lambda s: _orbit_least(*_raw_batch(q, a, s, min(hi, s + step)), q, a),
+                            range(lo, hi, step))
+            uniq = _unique_rows(np.concatenate(list(shares)))
             if path:
                 os.makedirs(cache_dir, exist_ok=True)
                 np.save(path, uniq)

@@ -27,9 +27,9 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, table_space_size
-from .levels import _oversize, _search_levels, is_single_cycle
+from .levels import LEVEL_CAP, _levels, _oversize, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
-from .spectral import CSV_HEADER, SolverError, gap_series, write_gap_csv, write_gap_dat
+from .spectral import CSV_HEADER, SolverError, gap_series
 from .transitivity import cotransitivity, first_intransitive_level
 
 LONG_RUN_TABLES = 1 << 22
@@ -51,17 +51,16 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
     }
 
 
-def _emit(path: str, args: argparse.Namespace, started: float) -> None:
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump(_manifest(args, started), fh, indent=2)
-        fh.write("\n")
-
-
-def _write_heights(path: str, heights, args: argparse.Namespace, started: float) -> None:
+def _write(path: str, text: str, args: argparse.Namespace, started: float) -> None:
+    """Write one output file, then the .manifest.json next to it."""
     with open(path, "w") as fh:
-        for n, h in enumerate(heights, start=1):
-            fh.write(f"{n} {h}\n")
-    _emit(path, args, started)
+        fh.write(text)
+    with open(path + ".manifest.json", "w") as fh:
+        fh.write(json.dumps(_manifest(args, started), indent=2) + "\n")
+
+
+def _heights(heights) -> str:
+    return "".join(f"{n} {h}\n" for n, h in enumerate(heights, start=1))
 
 
 def _load(args: argparse.Namespace) -> Automaton:
@@ -122,9 +121,7 @@ def _cmd_schreier(args, started):
             for v in range(G.n_vertices):
                 lines.append(f'  {v} -> {int(G.perms[qi][v])} [label="{q}"];')
         lines.append("}")
-        with open(args.dot, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        _emit(args.dot, args, started)
+        _write(args.dot, "\n".join(lines) + "\n", args, started)
     print(f"level {G.n} graph: {G.n_vertices} vertices, {len(G.perms)} generators")
     return 0
 
@@ -141,27 +138,24 @@ def _cmd_diameter(args, started):
             rows.append((n, lo, hi))
     header = "n,diameter" if args.mode == "exact" else "n,lower,upper"
     body = [",".join(str(x) for x in r) for r in rows]
+    table = header + "\n" + "\n".join(body) + "\n"
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(header + "\n" + "\n".join(body) + "\n")
-        _emit(args.csv, args, started)
-    print(header)
-    print("\n".join(body))
+        _write(args.csv, table, args, started)
+    print(table, end="")
     return 0
 
 
 def _cmd_gap(args, started):
     M = _load(args)
     reports = gap_series(M, args.from_, args.to)
+    table = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.csv_row() for r in reports)])
     if args.csv:
-        write_gap_csv(args.csv, reports)
-        _emit(args.csv, args, started)
+        _write(args.csv, table, args, started)
     if args.dat:
-        write_gap_dat(args.dat, reports)
-        _emit(args.dat, args, started)
-    print(CSV_HEADER)
-    for r in reports:
-        print(r.csv_row())
+        # two-column n gap rows, gnuplot style; normalized gap
+        _write(args.dat, "".join(f"{r.level} {r.gap_normalized:.10f}\n" for r in reports),
+               args, started)
+    print(table, end="")
     return 0
 
 
@@ -175,7 +169,8 @@ def _cmd_transitive(args, started):
         else:
             print(f"{args.state}: not transitive, first failing level {lvl} (exact)")
         return 0
-    for n, P in enumerate(_search_levels(M, args.levels), start=1):
+    # level 0 is one point, so the search fails first at level 1 or later
+    for n, P in enumerate(_levels(M, args.levels, LEVEL_CAP)):
         if not is_single_cycle(P[qi]):
             print(f"{args.state}: not transitive, first failing level {n} (orbit check)")
             return 0
@@ -222,9 +217,7 @@ def _cmd_classify(args, started):
     shard = _parse_shard(args.shard) if args.shard else None
     report = classify_cotransitive(q, a, args.budget, shard=shard, jobs=args.jobs)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
-        _emit(args.out, args, started)
+        _write(args.out, report.to_json() + "\n", args, started)
     print(f"({q},{a}) classes: {report.classes_total}  "
           f"cotransitive yes/no/unknown: {report.cotransitive_yes}/"
           f"{report.cotransitive_no}/{report.cotransitive_unknown}")
@@ -257,19 +250,19 @@ def _cmd_verify(args, started):
         return 0 if all_ok else 1
     if args.target == "preperiod":
         rep = preperiod_growth(args.n, args.adding_n)
-        ok = 0.57 <= rep.slope <= 0.70 and rep.adding_ok
+        in_band = 0.57 <= rep.slope <= 0.70
         if args.csv:
-            _write_heights(args.csv, rep.heights, args, started)
-        _check_line(f"slope {rep.slope:.4f} in [0.57, 0.70]", 0.57 <= rep.slope <= 0.70)
+            _write(args.csv, _heights(rep.heights), args, started)
+        _check_line(f"slope {rep.slope:.4f} in [0.57, 0.70]", in_band)
         _check_line("adding machine height bound", rep.adding_ok)
-        return 0 if ok else 1
+        return 0 if in_band and rep.adding_ok else 1
     raise UsageError(f"unknown verify target {args.target!r}")
 
 
 def _cmd_growth(args, started):
     rep = preperiod_growth(args.n, args.adding_n)
     if args.csv:
-        _write_heights(args.csv, rep.heights, args, started)
+        _write(args.csv, _heights(rep.heights), args, started)
     print(f"slope {rep.slope:.5f} over n <= {args.n}; "
           f"adding-machine max height {rep.adding_max_h} for n <= {args.adding_n}")
     return 0

@@ -88,22 +88,23 @@ def _oversize(shape: tuple[int, int], n: int, cap: int) -> str | None:
 def _levels(M: Automaton, n: int, cap: int):
     """Level maps for levels 0..n in turn, each built from the one before.
 
-    Every level uses the dtype of level n.  Only the level being built and
-    the one before it are held here.  ValueError for n below 0, MemoryError
-    for a level _oversize refuses.
+    Every level uses the dtype of the highest level the caps allow.  Only
+    the level being built and the one before it are held here.  ValueError
+    for n below 0.  A level _oversize refuses raises MemoryError only when
+    it is asked for, so a verdict a search reaches below the caps stands.
     """
-    a, nq = M.n_letters, M.n_states
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    if why := _oversize(M.t.shape, n, cap):
-        raise MemoryError(why)
-    dt = _dtype_for(a**n)
-    P = np.zeros((1, nq, 1), dtype=dt)
+    top = _top_level(M.t.shape, n, cap)
+    dt = _dtype_for(M.n_letters**top)
+    P = np.zeros((1, M.n_states, 1), dtype=dt)
     yield P[0]
     o, t = M.o.astype(dt)[None], M.t[None]
-    for _ in range(n):
+    for _ in range(top):
         P = _level_step(o, t, P)
         yield P[0]
+    if top < n:
+        raise MemoryError(_oversize(M.t.shape, top + 1, cap))
 
 
 def _level_step(o: np.ndarray, t: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -128,6 +129,8 @@ def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
     Works for non-invertible automata too (rows are then not permutations).
     Shape (|Q|, a^n).
     """
+    if why := _oversize(M.t.shape, n, cap):
+        raise MemoryError(why)
     for P in _levels(M, n, cap):
         pass
     return P
@@ -135,30 +138,15 @@ def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
 
 def all_level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> list[np.ndarray]:
     """level_maps for every level 0..n, cheapest-first (one recursion pass)."""
+    if why := _oversize(M.t.shape, n, cap):
+        raise MemoryError(why)
     return list(_levels(M, n, cap))
 
 
-def _search_levels(M: Automaton, n: int):
-    """Level maps for levels 1..n in turn, for a search that may stop early.
-
-    Unlike level_maps, a level _oversize refuses raises MemoryError only when
-    the search asks for it, so a verdict reached below the caps still stands.
-    ValueError for n below 0.
-    """
-    if n < 0:
-        raise ValueError(f"level {n} is below 0")
-    top = _top_level(M.t.shape, n)
-    levels = _levels(M, top, LEVEL_CAP)
-    next(levels)
-    yield from levels
-    if top < n:
-        raise MemoryError(_oversize(M.t.shape, top + 1, LEVEL_CAP))
-
-
-def _top_level(shape: tuple[int, int], n: int) -> int:
+def _top_level(shape: tuple[int, int], n: int, cap: int) -> int:
     """The highest level up to n that _oversize lets a search build."""
     top = 0
-    while top < n and not _oversize(shape, top + 1, LEVEL_CAP):
+    while top < n and not _oversize(shape, top + 1, cap):
         top += 1
     return top
 
@@ -170,13 +158,13 @@ def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
     Dual state x of table i maps level k as new[i, x, s::q] = T[i, s, x] +
     q * P[i, O[i, s, x]] (_level_step on the swapped tables).  Tables with a
     state alive go on to the next level, in chunks of at most ARRAY_CAP
-    level entries.  Errors as in _search_levels: a refused level raises
+    level entries.  Errors as in _levels: a refused level raises
     MemoryError only when a table reaches it with a state alive.
     """
     m, q, a = T.shape
     if budget < 0:
         raise ValueError(f"level {budget} is below 0")
-    top = _top_level((a, q), budget)
+    top = _top_level((a, q), budget, LEVEL_CAP)
     dt = _dtype_for(q**top)
     o = np.asarray(T, dtype=dt).transpose(0, 2, 1)
     t = np.asarray(O, dtype=np.intp).transpose(0, 2, 1)

@@ -288,7 +288,10 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
     of the alphabet cycle, so at most |A| - 1 applications fix it.  The
     image is kept as letter indices, and each application runs the
     cycler's section at x^m on its tail from position m.  The result is
-    length O(n^2) and is verified by act before returning.
+    length O(n^2) and is verified by act before returning.  ValueError,
+    naming the level, when |A| applications leave position m unfixed, as
+    on many words over dual(div3), whose sections need not cycle the
+    alphabet.
     """
     letters = tuple(s)
     xi = M.letter_index(x)
@@ -307,7 +310,8 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
             if cur[m] == xi:
                 break
         else:
-            raise RuntimeError("cycler failed to move the level letter through a full cycle")
+            raise ValueError(f"level {m}: {p} applications of the level cycler do not put "
+                             f"letter {x!r} at position {m}")
         assert cur[: m + 1] == [xi] * (m + 1)
     total = GroupWord(q for cyc in reversed(applied) for q in cyc).reduce()
     assert tuple(act(M, total, letters)) == (x,) * len(letters), "steering self-check failed"

@@ -275,17 +275,3 @@ def gap_series(M: Automaton, n_min: int, n_max: int) -> list[SpectrumReport]:
 
 
 CSV_HEADER = "n,vertices,lambda2,lambda_min,gap,solver"
-
-
-def write_gap_csv(path: str, reports: list[SpectrumReport]) -> None:
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")
-
-
-def write_gap_dat(path: str, reports: list[SpectrumReport]) -> None:
-    """Two-column n gap rows, gnuplot style; normalized gap."""
-    with open(path, "w") as fh:
-        for r in reports:
-            fh.write(f"{r.level} {r.gap_normalized:.10f}\n")

@@ -66,3 +66,16 @@ def test_no_unused_imports_in_library():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_only_the_cli_opens_files_for_writing():
+    # every output file and its manifest go through cli._write
+    writers = []
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+                       for m in modes):
+                    writers.append(f"{path.name}:{node.lineno}")
+    assert writers and all(w.startswith("cli.py:") for w in writers), writers

@@ -174,6 +174,84 @@ def test_aleshin_relation_report():
     assert r.pairing == {"a": "a", "b": "b", "c": "c"}
 
 
+def _aleshin_by_levels(n, samples=40, seed=0):
+    """aleshin_relation_check with the pairing and the product identity
+    checked on every level 1..n, one level map per level."""
+    import numpy as np
+    from mealy.bellaterra import AleshinReport
+    from mealy.levels import all_level_maps, invert_perm
+
+    A, B = bellaterra.builtin("aleshin"), bellaterra.builtin("bellaterra")
+    PA, PB = all_level_maps(A, n), all_level_maps(B, n)
+    pairing, counterexample = {}, None
+    for qi, q in enumerate(A.states):
+        matches = [ri for ri in range(len(B.states))
+                   if np.array_equal(PA[n][qi], (1 << n) - 1 - PB[n][ri])]
+        if len(matches) != 1:
+            counterexample = {"kind": "pairing", "state": q, "level": n}
+            continue
+        for k in range(1, n + 1):
+            if not np.array_equal(PA[k][qi], (1 << k) - 1 - PB[k][matches[0]]):
+                counterexample = {"kind": "pairing", "state": q, "level": k}
+                break
+        else:
+            pairing[q] = B.states[matches[0]]
+    holds = len(pairing) == len(A.states)
+    if holds:
+        for k in range(1, n + 1):
+            inv = [invert_perm(P) for P in PA[k]]
+            for qi, q in enumerate(A.states):
+                for ri, r in enumerate(A.states):
+                    pq, pr = B.state_index(pairing[q]), B.state_index(pairing[r])
+                    if not np.array_equal(inv[qi][PA[k][ri]], PB[k][pq][PB[k][pr]]):
+                        holds = False
+                        counterexample = {"kind": "product", "q": q, "r": r, "level": k}
+    even_path_ok = holds
+    if holds:
+        rng = np.random.default_rng(seed)
+        inv_n = [invert_perm(P) for P in PA[n]]
+        for _ in range(samples):
+            pairs = int(rng.integers(1, 5))
+            v = int(rng.integers(0, 1 << n))
+            u_b = u_a = v
+            for _ in range(pairs):
+                qi, ri = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+                u_b = int(PB[n][qi][PB[n][ri][u_b]])
+                u_a = int(inv_n[qi][PA[n][ri][u_a]])
+            if u_a != u_b:
+                even_path_ok = False
+                counterexample = {"kind": "even-path", "vertex": v}
+                break
+    return AleshinReport(n, pairing, holds, even_path_ok, counterexample)
+
+
+# bellaterra with c's 1-edge looping back to c, so c is no involution
+# (c^2 maps 11 to 10), and aleshin with its outputs flipped to match
+NON_INVOLUTIVE = {
+    "bellaterra": "a 0 0 b\na 1 1 c\nb 0 0 c\nb 1 1 b\nc 0 1 a\nc 1 0 c",
+    "aleshin": "a 0 1 b\na 1 0 c\nb 0 1 c\nb 1 0 b\nc 0 0 a\nc 1 1 c",
+}
+
+
+@pytest.mark.parametrize("tables, kind", [
+    ({}, None),
+    # aleshin's c moved off its bellaterra partner: no pairing
+    ({"aleshin": "a 0 1 b\na 1 0 c\nb 0 1 c\nb 1 0 b\nc 0 0 a\nc 1 1 b"}, "pairing"),
+    (NON_INVOLUTIVE, "product"),
+], ids=["real", "pairing", "product"])
+def test_aleshin_on_level_n_matches_every_level(monkeypatch, tables, kind):
+    from mealy.automaton import Automaton
+
+    machines = {name: Automaton.from_text(f"states: a b c\nalphabet: 0 1\n{t}\n")
+                for name, t in tables.items()}
+    monkeypatch.setattr(bellaterra, "builtin", lambda name: machines.get(name) or builtin(name))
+    for n in range(9):
+        r = aleshin_relation_check(n)
+        assert r == _aleshin_by_levels(n), n
+        if n >= 3:
+            assert (r.counterexample or {}).get("kind") == kind, n
+
+
 def test_balanced_ternary_integer_values():
     assert balanced_ternary_value(EPW("b", "c")) == 1
     assert balanced_ternary_value(EPW("a", "c")) == -1

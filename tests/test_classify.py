@@ -16,7 +16,6 @@ from mealy.classify import (
     _least_cells,
     _orbit_least,
     _raw_batch,
-    _slice_keys,
     _unique_rows,
     _words,
     canonical_form,
@@ -152,7 +151,6 @@ def test_orbit_least_of_whole_space_is_the_key_set(q, a):
     T, O = _raw_batch(q, a, 0, table_space_size(q, a))
     want = _unique_rows(_least_cells(T, O, q, a))
     assert (_unique_rows(_orbit_least(T, O, q, a)) == want).all()
-    assert (_slice_keys(q, a, 0, table_space_size(q, a)) == want).all()
 
 
 @pytest.mark.parametrize("q,a,cuts", [
@@ -161,12 +159,12 @@ def test_orbit_least_of_whole_space_is_the_key_set(q, a):
     (4, 2, [500_000, 503_001, 504_897, 507_968, 507_969, 510_000]),
     (5, 2, [123_500_000, 123_511_111, 123_523_152, 123_532_500, 123_540_001]),
 ])
-def test_slice_keys_are_the_least_cells_rows_of_their_own_tables(q, a, cuts):
+def test_share_keys_are_the_least_cells_rows_of_their_own_tables(q, a, cuts):
     empty = 0
     for lo, hi in zip(cuts, cuts[1:]):
         T, O = _raw_batch(q, a, lo, hi)
         least = _least_cells(T, O, q, a)
-        got = _slice_keys(q, a, lo, hi)
+        got = _unique_rows(_orbit_least(T, O, q, a))
         assert got.shape[1] == least.shape[1]
         assert (got == _unique_rows(least[(least == _words(_cells(T, O, q, a))).all(axis=1)])).all()
         empty += len(got) == 0

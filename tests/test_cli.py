@@ -156,6 +156,42 @@ def test_diameter_exact_csv(tmp_path):
     assert [int(r[1]) for r in rows] == [1, 2, 3, 4]
 
 
+# every file-writing subcommand: argv, output flag, and the file's bytes
+# where they are pinned
+WRITERS = {
+    "schreier-dot": (["schreier", "--builtin", "aleshin", "--level", "3"], "--dot", None),
+    "diameter-csv": (["diameter", "--builtin", "bellaterra", "--from", "1", "--to", "4"],
+                     "--csv", b"n,diameter\n1,1\n2,2\n3,3\n4,4\n"),
+    "diameter-empty": (["diameter", "--builtin", "bellaterra", "--from", "3", "--to", "2"],
+                       "--csv", b"n,diameter\n\n"),
+    "gap-csv": (["gap", "--builtin", "bellaterra", "--from", "2", "--to", "4"], "--csv", None),
+    "gap-dat": (["gap", "--builtin", "bellaterra", "--from", "2", "--to", "4"], "--dat", None),
+    "classify-out": (["classify", "--states", "2", "--letters", "2"], "--out", None),
+    "verify-preperiod-csv": (["verify", "preperiod", "--n", "200", "--adding-n", "500"],
+                             "--csv", None),
+    "growth-csv": (["growth", "--n", "150", "--adding-n", "300"], "--csv", None),
+}
+
+
+@pytest.mark.parametrize("argv, flag, pinned", WRITERS.values(), ids=WRITERS)
+def test_every_output_file_has_a_manifest(tmp_path, capsys, argv, flag, pinned):
+    out = tmp_path / "out"
+    assert run([*argv, flag, str(out)]) == 0
+    printed = capsys.readouterr().out
+    text = out.read_text()
+    man = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert man["subcommand"] == argv[0]
+    assert man["flags"][flag[2:]] == str(out)
+    if argv[0] in ("diameter", "gap") and flag == "--csv":
+        assert text == printed
+    if flag == "--dat":  # n and the normalized gap of each printed row
+        rows = [r.split(",") for r in printed.splitlines()[1:]]
+        assert text == "".join(f"{r[0]} {r[4]}\n" for r in rows)
+        assert [r[0] for r in rows] == ["2", "3", "4"]
+    if pinned is not None:
+        assert out.read_bytes() == pinned
+
+
 def test_manifest_wall_time_survives_clock_step(tmp_path, monkeypatch):
     # the wall clock steps back 1000 s at every read, as a clock correction can
     clock = itertools.count(1e9, -1000.0)
@@ -328,6 +364,19 @@ def test_steer_by_witness_level(capsys):
     assert run(["steer", "--builtin", "bellaterra", "--letter", "1",
                 "--witness-level", "6"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_steer_without_a_cycling_section_is_usage_error(tmp_path, capsys):
+    from mealy.automaton import builtin, dual
+
+    # no power of dual(div3)'s level-0 cycler turns letter 0 into 1
+    table = tmp_path / "dual-div3.aut"
+    table.write_text(dual(builtin("div3")).to_text())
+    assert run(["steer", "--file", str(table), "--letter", "1", "--input", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: level 0: 3 applications of the level cycler do not put "
+                            "letter '1' at position 0\n")
 
 
 def test_file_loading(tmp_path, capsys):

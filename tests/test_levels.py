@@ -331,9 +331,21 @@ def test_array_cap_bounds_every_row_together(monkeypatch):
     # a search gets every level below the cap before it is refused
     got = []
     with pytest.raises(MemoryError, match=r"2\^9"):
-        for P in levels._search_levels(B, 12):
+        for P in levels._levels(B, 12, LEVEL_CAP):
             got.append(P.shape[1])
-    assert got == [2**k for k in range(1, 9)]
+    assert got == [2**k for k in range(9)]
+
+
+def test_refused_level_builds_nothing(monkeypatch):
+    calls = []
+    step = levels._level_step
+    monkeypatch.setattr(levels, "_level_step", lambda *args: calls.append(1) or step(*args))
+    for maps in (level_maps, all_level_maps):
+        with pytest.raises(MemoryError, match=r"2\^9 exceeds cap 256"):
+            maps(B, 9, cap=1 << 8)
+    assert calls == []
+    assert level_maps(B, 8, cap=1 << 8).shape == (3, 256)
+    assert len(calls) == 8
 
 
 def test_negative_level_refused():

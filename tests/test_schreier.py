@@ -248,7 +248,8 @@ def _steer_naive(M, x, s, counts):
         while cur[m] != x:
             applied += 1
             if applied > M.n_letters:
-                raise RuntimeError("cycler failed to move the level letter through a full cycle")
+                raise ValueError(f"level {m}: {M.n_letters} applications of the level cycler "
+                                 f"do not put letter {x!r} at position {m}")
             cur = tuple(act(M, cyc, cur))
             total = cyc * total
         counts.append(applied)
@@ -258,7 +259,7 @@ def _steer_naive(M, x, s, counts):
 def _steer_outcome(steer, *args):
     try:
         return steer(*args)
-    except RuntimeError as e:
+    except ValueError as e:
         return str(e)
 
 

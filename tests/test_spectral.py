@@ -11,15 +11,12 @@ from mealy.automaton import BUILTIN_NAMES, Automaton, builtin, relabel
 from mealy.levels import level_maps
 from mealy.schreier import SchreierGraph, build
 from mealy.spectral import (
-    CSV_HEADER,
     DENSE_CAP,
     SPECTRAL_CAP,
     adjacency,
     gap_series,
     spectrum,
     two_sided_gap,
-    write_gap_csv,
-    write_gap_dat,
 )
 
 B = builtin("bellaterra")
@@ -115,21 +112,6 @@ def test_disconnected_graph_flagged(monkeypatch):
         assert all(r.disconnected for r in series)
         assert all(r.gap_normalized == pytest.approx(0.0) for r in series)
     assert series[-1].solver == "iterative"  # the cap-4 series reached Lanczos
-
-
-def test_csv_and_dat_output(tmp_path):
-    reports = gap_series(B, 2, 4)
-    csv = tmp_path / "gaps.csv"
-    dat = tmp_path / "gaps.dat"
-    write_gap_csv(str(csv), reports)
-    write_gap_dat(str(dat), reports)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 4
-    assert lines[1].startswith("2,4,")
-    rows = [ln.split() for ln in dat.read_text().strip().splitlines()]
-    assert [r[0] for r in rows] == ["2", "3", "4"]
-    assert float(rows[2][1]) == pytest.approx(reports[2].gap_normalized)
 
 
 def test_aleshin_gap_exceeds_bellaterra():

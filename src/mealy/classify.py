@@ -41,7 +41,10 @@ from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_
 CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
 _COCYCLIC = Properties.__slots__.index("cocyclic")  # its column of _table_properties
-_CHUNK = 1 << 16  # most raw tables one share of the key pass decodes
+# most raw tables one share of the key pass decodes.  Larger shares make
+# fewer and longer numpy calls on each thread; 2^19 raised the census's
+# peak RSS by about 8 MB
+_CHUNK = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -128,14 +131,13 @@ def _least_cells(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
     return _words(best)
 
 
-def _orbit_least(T, O, q: int, a: int, letters: bool = True) -> np.ndarray:
-    """_words of the stacked tables that no relabeling makes smaller.
+def _orbit_least(cols: np.ndarray, q: int, a: int, letters: bool = True) -> np.ndarray:
+    """_words of the tables in _cells columns cols that no relabeling makes smaller.
 
     These are the tables that equal their own _least_cells row (a tie
     from an automorphism does not drop a table), in input order.  Each
     relabeling runs only on the tables that every earlier one kept.
     """
-    cols = _cells(T, O, q, a)
     for lut, at in _relabelings(q, a, letters):
         cols = cols.compress(~_renamed_less(cols, lut, at, cols), axis=1)
     return _words(cols)
@@ -167,8 +169,13 @@ def canonical_form(M: Automaton) -> bytes:
 
 
 def _key_tables(keys: np.ndarray, q: int, a: int):
-    """Stacked (T, O) tables of _least_cells rows: cells % q and cells // q."""
-    cells = keys.astype(">u8").view(np.uint8)[:, : q * a].reshape(-1, q, a)
+    """Stacked (T, O) tables of _least_cells rows."""
+    return _split(keys.astype(">u8").view(np.uint8)[:, : q * a], q, a)
+
+
+def _split(cells: np.ndarray, q: int, a: int):
+    """Stacked (T, O) tables of cell strings, one per row: cells % q and cells // q."""
+    cells = cells.reshape(-1, q, a)
     return cells % q, cells // q
 
 
@@ -185,30 +192,53 @@ def from_canonical(key: bytes, name: str | None = None) -> Automaton:
     )
 
 
-def _raw_batch(q: int, a: int, start: int, end: int):
-    """Invertible tables numbered start..end-1 as (T, O) index arrays.
+@lru_cache(maxsize=None)
+def _row_cells(q: int, a: int) -> np.ndarray:
+    """The cells of every row code c < C = a! * q^a, column c of an (a, C) array.
 
-    Digit s of a table's number in base C = a! * q^a (least significant
-    first) codes the row of state s: its outputs are permutation c // q^a,
-    its targets the base-q digits of c % q^a.
+    Row code c has outputs permutation c // q^a and targets the base-q
+    digits of c % q^a.  The array is built once per shape and is read-only.
     """
-    outs = np.array(list(permutations(range(a))), dtype=np.int8)
+    outs = np.array(list(permutations(range(a))))
     trows = q**a
-    C = len(outs) * trows
-    code = np.arange(C)
-    O_rows = outs[code // trows]
-    T_rows = ((code % trows)[:, None] // q ** np.arange(a - 1, -1, -1) % q).astype(np.int8)
-    T = np.empty((end - start, q, a), dtype=np.int8)
-    O = np.empty((end - start, q, a), dtype=np.int8)
-    rest = np.arange(start, end, dtype=np.int64)
-    for s in range(q):
-        # a quotient and a product: numpy's % and divmod take longer here
-        nxt = rest // C
-        c = rest - nxt * C
-        rest = nxt
-        T[:, s] = T_rows.take(c, axis=0)
-        O[:, s] = O_rows.take(c, axis=0)
-    return T, O
+    code = np.arange(len(outs) * trows)
+    T = (code % trows)[:, None] // q ** np.arange(a - 1, -1, -1) % q
+    rows = np.ascontiguousarray((outs[code // trows] * q + T).astype(np.uint8).T)
+    rows.flags.writeable = False
+    return rows
+
+
+def _raw_cells(q: int, a: int, start: int, end: int) -> np.ndarray:
+    """_cells columns of the invertible tables numbered start..end-1.
+
+    Digit s of a table's number in base C (least significant first) is
+    the row code of state s (see _row_cells), so consecutive tables share
+    it in runs of C^s, and it repeats with period C^(s+1).  Each state's
+    cells are one period of those runs, or all of the range if that is
+    shorter, repeated to fill the range: no number is divided.
+    """
+    rows = _row_cells(q, a)
+    C = rows.shape[1]
+    n = end - start
+    cols = np.empty((q * a, n), dtype=np.uint8)
+    for s in range(q if n > 0 else 0):
+        run = C**s
+        m = min(n, C * run)
+        first, last = start // run, (start + m - 1) // run
+        # runs of the row codes first..last % C, cut to tables start..start+m-1
+        counts = np.diff(np.minimum(np.arange(first + 1, last + 2) * run, start + m), prepend=start)
+        period = np.repeat(rows[:, np.arange(first, last + 1) % C], counts, axis=1)
+        k, tail = divmod(n, m)
+        block = cols[s * a:(s + 1) * a]
+        block[:, : k * m].reshape(a, k, m)[...] = period[:, None, :]
+        block[:, k * m:] = period[:, :tail]
+    return cols
+
+
+def _raw_batch(q: int, a: int, start: int, end: int):
+    """Invertible tables numbered start..end-1 as (T, O) int8 index arrays."""
+    T, O = _split(_raw_cells(q, a, start, end).T, q, a)
+    return T.view(np.int8), O.view(np.int8)
 
 
 def table_space_size(q: int, a: int) -> int:
@@ -229,10 +259,11 @@ def canonical_keys(
     Row i is the least cell string of class i as _least_cells words;
     _key_bytes turns it into the canonical_form key.  Each batch of raw
     tables is split into shares of at most _CHUNK tables, at least one per
-    worker (at most jobs, and no more than the CPUs available), filtered
-    on threads, where numpy releases the GIL, and sorted: a batch keeps
-    the tables that are the least of their class (see _orbit_least), so
-    its keys are distinct.  With cache_dir (default
+    worker (at most jobs, and no more than the CPUs available).  A share
+    is decoded straight into _cells columns by _raw_cells, filtered on a
+    thread, where numpy releases the GIL, and the batch is sorted: a batch
+    keeps the tables that are the least of their class (see _orbit_least),
+    so its keys are distinct.  With cache_dir (default
     $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
     so an interrupted run resumes where it stopped.
     """
@@ -255,7 +286,7 @@ def canonical_keys(
             lo = bi * batch_size
             hi = min(N, lo + batch_size)
             step = min(_CHUNK, -(-(hi - lo) // workers))
-            shares = ex.map(lambda s: _orbit_least(*_raw_batch(q, a, s, min(hi, s + step)), q, a),
+            shares = ex.map(lambda s: _orbit_least(_raw_cells(q, a, s, min(hi, s + step)), q, a),
                             range(lo, hi, step))
             uniq = _unique_rows(np.concatenate(list(shares)))
             if path:
@@ -458,7 +489,7 @@ def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
     """
     T, O = _raw_batch(q, a, 0, table_space_size(q, a))
     hit = _table_properties(T, O)[:, _COCYCLIC]
-    return int(hit.sum()), len(_orbit_least(T[hit], O[hit], q, a, letters=False))
+    return int(hit.sum()), len(_orbit_least(_cells(T[hit], O[hit], q, a), q, a, letters=False))
 
 
 def merge_reports(reports: list[CensusReport]) -> CensusReport:

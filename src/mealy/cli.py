@@ -246,7 +246,7 @@ def _cmd_verify(args, started):
         all_ok &= _check_line(f"dual transitivity (n={args.lemma_n})",
                               lemma_transitive_check(args.lemma_n))
         a = aleshin_relation_check(args.level)
-        all_ok &= _check_line(f"sister relation (n={args.level})", bool(a))
+        all_ok &= _check_line(f"sister relation (n={args.level})", a.holds and a.even_path_ok)
         return 0 if all_ok else 1
     if args.target == "preperiod":
         rep = preperiod_growth(args.n, args.adding_n)

@@ -25,8 +25,19 @@ class _Inline:
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """The key pass's thread pool, run inline on a machine with 3 CPUs."""
+    """The key pass's thread pool, run inline on a machine with 3 CPUs.
+
+    The log also records ("share", n) for each range of n raw tables
+    decoded, in the order the shares run.
+    """
     monkeypatch.setattr(classify, "ThreadPoolExecutor", _Inline)
     monkeypatch.setattr(classify.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(_Inline, "log", [])
+    decode = classify._raw_cells
+
+    def logged(q, a, start, end):
+        _Inline.log.append(("share", end - start))
+        return decode(q, a, start, end)
+
+    monkeypatch.setattr(classify, "_raw_cells", logged)
     return _Inline.log

@@ -16,6 +16,7 @@ from mealy.classify import (
     _least_cells,
     _orbit_least,
     _raw_batch,
+    _raw_cells,
     _unique_rows,
     _words,
     canonical_form,
@@ -138,10 +139,11 @@ def test_orbit_least_keeps_tables_equal_to_their_least_cells(machines):
     q, a = machines[0].n_states, machines[0].n_letters
     T = np.stack([M.t for M in machines])
     O = np.stack([M.o for M in machines])
-    own = _words(_cells(T, O, q, a))
+    cols = _cells(T, O, q, a)
+    own = _words(cols)
     for letters in (True, False):
         least = _least_cells(T, O, q, a, letters=letters)
-        kept = _orbit_least(T, O, q, a, letters=letters)
+        kept = _orbit_least(cols, q, a, letters=letters)
         assert kept.shape == (int((least == own).all(axis=1).sum()), own.shape[1])
         assert (kept == own[(least == own).all(axis=1)]).all()
 
@@ -150,7 +152,7 @@ def test_orbit_least_keeps_tables_equal_to_their_least_cells(machines):
 def test_orbit_least_of_whole_space_is_the_key_set(q, a):
     T, O = _raw_batch(q, a, 0, table_space_size(q, a))
     want = _unique_rows(_least_cells(T, O, q, a))
-    assert (_unique_rows(_orbit_least(T, O, q, a)) == want).all()
+    assert (_unique_rows(_orbit_least(_cells(T, O, q, a), q, a)) == want).all()
 
 
 @pytest.mark.parametrize("q,a,cuts", [
@@ -164,9 +166,10 @@ def test_share_keys_are_the_least_cells_rows_of_their_own_tables(q, a, cuts):
     for lo, hi in zip(cuts, cuts[1:]):
         T, O = _raw_batch(q, a, lo, hi)
         least = _least_cells(T, O, q, a)
-        got = _unique_rows(_orbit_least(T, O, q, a))
+        cols = _raw_cells(q, a, lo, hi)
+        got = _unique_rows(_orbit_least(cols, q, a))
         assert got.shape[1] == least.shape[1]
-        assert (got == _unique_rows(least[(least == _words(_cells(T, O, q, a))).all(axis=1)])).all()
+        assert (got == _unique_rows(least[(least == _words(cols)).all(axis=1)])).all()
         empty += len(got) == 0
     assert empty == 1
 
@@ -198,6 +201,27 @@ def test_raw_batch_numbers_tables(q, a, lo, hi):
     for k in range(0, hi - lo, 7):
         t, o = _raw_table(q, a, lo + k)
         assert T[k].tolist() == t and O[k].tolist() == [list(r) for r in o]
+
+
+@pytest.mark.parametrize("q,a", [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_raw_cells_match_the_raw_table_oracle(q, a):
+    C, N = factorial(a) * q**a, table_space_size(q, a)
+    # the first and last tables, and ranges over several periods of digits 0 and 1
+    ranges = [(0, 1), (N - 1, N), (max(0, N - 2 * C - 3), N), (5, 5 + 3 * C + 7),
+              (C**2 - 5, min(N, 3 * C**2 + 11, C**2 + 4000))]
+    for s in range(q):
+        for k in (1, 2, C - 1, C):
+            b = k * C**s  # digit s turns over here; digit s + 1 too when k = C
+            ranges += [(b - 1, b), (b, b + 1), (b + 1, b + 2), (b - 1, b + 2),
+                       (b - C - 2, b + C + 3)]
+    for lo, hi in ranges:
+        if not 0 <= lo < hi <= N:
+            continue
+        cols = _raw_cells(q, a, lo, hi)
+        assert cols.shape == (q * a, hi - lo) and cols.dtype == np.uint8
+        for k in range(hi - lo):
+            t, o = _raw_table(q, a, lo + k)
+            assert cols[:, k].tolist() == [o[s][x] * q + t[s][x] for s in range(q) for x in range(a)]
 
 
 @pytest.mark.parametrize("name", ["bellaterra", "aleshin", "adding", "div3", "conjugator",
@@ -232,15 +256,30 @@ def test_key_cache_ignores_int64_files(tmp_path, monkeypatch):
 def test_jobs_clamped_to_cpus_and_slices(inline_pool):
     want32, want22 = canonical_keys(3, 2), canonical_keys(2, 2)
     for q, a, batch, jobs, log in (
-        (3, 2, 1 << 20, 1, [("workers", 1), ("slices", 1)]),
-        (3, 2, 1 << 20, 2, [("workers", 2), ("slices", 2)]),
-        (3, 2, 1 << 20, 10**5, [("workers", 3), ("slices", 3)]),  # 3 CPUs
-        (2, 2, 2, 10**5, [("workers", 2)] + [("slices", 2)] * 32),  # 2-table batches
+        (3, 2, 1 << 20, 1, [("workers", 1), ("slices", 1), ("share", 5832)]),
+        (3, 2, 1 << 20, 2, [("workers", 2), ("slices", 2)] + [("share", 2916)] * 2),
+        (3, 2, 1 << 20, 10**5, [("workers", 3), ("slices", 3)] + [("share", 1944)] * 3),  # 3 CPUs
+        # 2-table batches
+        (2, 2, 2, 10**5, [("workers", 2)] + [("slices", 2), ("share", 1), ("share", 1)] * 32),
     ):
         inline_pool.clear()
         keys = canonical_keys(q, a, batch_size=batch, jobs=jobs)
         assert (keys == (want32 if q == 3 else want22)).all()
         assert inline_pool == log
+
+
+@pytest.mark.parametrize("chunk", [1 << 5, classify._CHUNK])
+def test_shares_stay_within_chunk(inline_pool, monkeypatch, chunk):
+    monkeypatch.setattr(classify, "_CHUNK", chunk)
+    for q, a in ((3, 2), (2, 2)):
+        N = table_space_size(q, a)
+        want = _unique_rows(_least_cells(*_raw_batch(q, a, 0, N), q, a))
+        for jobs in (1, 2):
+            inline_pool.clear()
+            assert (canonical_keys(q, a, jobs=jobs) == want).all()
+            shares = [n for kind, n in inline_pool if kind == "share"]
+            assert sum(shares) == N and max(shares) <= chunk
+            assert len(shares) == max(jobs, -(-N // chunk))
 
 
 def test_jobs_below_one_rejected():

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from mealy import cli
+from mealy.bellaterra import AleshinReport, WreathReport
 from mealy.cli import main
 
 
@@ -325,7 +326,8 @@ def test_classify_jobs_reach_key_pass_with_shard(tmp_path, inline_pool):
         inline_pool.clear()
         assert run(["classify", "--states", "3", "--letters", "2", "--shard", "1/3",
                     "--jobs", jobs, "--out", str(out)]) == 0
-        assert inline_pool == [("workers", workers), ("slices", workers)]
+        assert inline_pool == ([("workers", workers), ("slices", workers)]
+                               + [("share", 5832 // workers)] * workers)
         want = classify_cotransitive(3, 2, shard=(1, 3))
         assert out.read_text() == want.to_json() + "\n"
 
@@ -335,6 +337,31 @@ def test_verify_bellaterra(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") >= 3
     assert "FAIL" not in out
+
+
+def _series_fails():
+    raise ValueError("parity")
+
+
+@pytest.mark.parametrize("name,broken,line", [
+    ("wreath_table_check", lambda n: WreathReport(n, ok=False), "wreath table"),
+    ("F_solution", _series_fails, "series solution"),
+    ("lemma_transitive_check", lambda n: False, "dual transitivity"),
+    ("aleshin_relation_check", lambda n: AleshinReport(n, {}, False, True), "sister relation"),
+    ("aleshin_relation_check", lambda n: AleshinReport(n, {}, True, False), "sister relation"),
+])
+def test_verify_bellaterra_fails_on_each_check(monkeypatch, capsys, name, broken, line):
+    monkeypatch.setattr(cli, name, broken)
+    assert run(["verify", "bellaterra", "--level", "2", "--lemma-n", "2"]) == 1
+    failed = [row for row in capsys.readouterr().out.splitlines() if "FAIL" in row]
+    assert len(failed) == 1 and line in failed[0]
+
+
+def test_verify_bellaterra_sister_relation_from_level_2(capsys):
+    for level, code in ((0, 1), (1, 1), (2, 0), (3, 0)):
+        assert run(["verify", "bellaterra", "--level", str(level), "--lemma-n", "2"]) == code
+        failed = [row for row in capsys.readouterr().out.splitlines() if "FAIL" in row]
+        assert [row.split()[0] for row in failed] == ["sister"] * code
 
 
 def test_verify_preperiod(tmp_path, capsys):

@@ -68,18 +68,6 @@ def phi(x: str, w) -> str:
     return "".join(out)
 
 
-def phi_inverse(x: str, v) -> str:
-    """Decode a reduced state word not beginning with x back to u/d."""
-    out = []
-    cur = x
-    for q in v:
-        if q == cur:
-            raise ValueError(f"{''.join(v)!r} is not in the image of phi_{x}")
-        out.append(UP if _PHI[cur][UP] == q else DOWN)
-        cur = q
-    return "".join(out)
-
-
 def _phi_level_maps(n: int) -> dict[str, list[np.ndarray]]:
     """Index form of phi: maps[x][k] sends u/d indices to base-3 word indices.
 
@@ -378,10 +366,6 @@ def balanced_ternary_word(v) -> EventuallyPeriodicWord:
 def alpha(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     """The map w -> (w-1)/2 on balanced-ternary coded values."""
     return balanced_ternary_word((balanced_ternary_value(w) - 1) / 2)
-
-
-def alpha_inverse(w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
-    return balanced_ternary_word(2 * balanced_ternary_value(w) + 1)
 
 
 @dataclass

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 
@@ -40,6 +42,22 @@ class UsageError(Exception):
     pass
 
 
+def _machine() -> dict:
+    """The facts a run's timings depend on: CPUs, interpreter and BLAS."""
+    import numpy
+    import scipy
+
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
+
+
 def _manifest(args: argparse.Namespace, started: float) -> dict:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     return {
@@ -48,6 +66,7 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
+        "machine": _machine(),
     }
 
 

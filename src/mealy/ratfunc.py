@@ -197,11 +197,3 @@ def solve_linear(A: list[list[RationalSeries]], b: list[RationalSeries]) -> list
                 f = M[r][col]
                 M[r] = [M[r][j] - f * M[col][j] for j in range(n + 1)]
     return [M[i][n] for i in range(n)]
-
-
-def one_over_one_minus_t(p: int) -> RationalSeries:
-    return RationalSeries(Poly([1], p), Poly([1, p - 1], p))
-
-
-def t_over_one_minus_t(p: int) -> RationalSeries:
-    return RationalSeries(Poly([0, 1], p), Poly([1, p - 1], p))

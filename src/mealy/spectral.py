@@ -30,7 +30,13 @@ Fiber matrices are solved dense up to DENSE_CAP rows, one
 scipy.linalg.eigh call per extreme, and by Lanczos (ARPACK) above it,
 with a fixed seeded start vector so that output repeats byte for byte.
 Only scipy's LAPACK and BLAS run: numpy bundles a second OpenBLAS, whose
-threads would compete with scipy's for the same cores.  Lanczos first
+threads would compete with scipy's for the same cores.  A fiber matrix
+of fewer than _ONE_THREAD_BELOW rows is solved on one BLAS thread, where
+a second thread mostly spin-waits, and the thread count is put back
+afterwards, also when the solve raises; so below that size a fiber's
+digits no longer depend on the machine's core count.  Larger fibers use
+scipy's default pool.  The count is set through scipy's OpenBLAS; with
+any other BLAS every fiber runs on that BLAS's default.  Lanczos first
 asks for both extremes at once (k = 2, "BE") with at most _BE_RESTARTS
 restarts.  Where that gives up, as on fibers whose extremes crowd
 together (a cycle's within about 1/nv^2), the two extremes are solved one
@@ -45,7 +51,10 @@ MemoryError instead, so no accepted size allocates gigabytes.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +75,11 @@ _FALLBACK_TOL = 1e-6
 # of 256 to 131,072 rows, and bellaterra 27 and 46 at levels 9 and 10, then
 # 97-1,260 at levels 11-15, where the split needs 33-151 for both extremes
 _BE_RESTARTS = 50
+# fibers of fewer rows are solved on one BLAS thread (see _blas_threads); on
+# 2 vCPUs one thread was as fast up to 2^14 rows on aleshin, bellaterra,
+# bireversible52 and div3 fibers at half the CPU, and two threads were
+# 11-18% faster at 2^15 rows and 11-52% faster at 2^16 to 2^19
+_ONE_THREAD_BELOW = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -143,6 +157,48 @@ def _fiber_matrix(P: np.ndarray, a: int):
     return _sparse_adjacency(P[:, :h] % h, blocks / np.sqrt(norm2 * norm2.T))
 
 
+@cache
+def _openblas_threads():
+    """(set, get) of the OpenBLAS thread count behind scipy's BLAS, or None.
+
+    dlsym on scipy's cython_blas module searches the libraries it links,
+    so the OpenBLAS is found without its file name: scipy-openblas names
+    first, then ILP64 and plain OpenBLAS builds.  None for any other BLAS.
+    """
+    import scipy.linalg.cython_blas
+
+    lib = ctypes.CDLL(scipy.linalg.cython_blas.__file__)
+    for name in ("scipy_openblas_{}", "scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+        try:
+            return (getattr(lib, name.format("set_num_threads")),
+                    getattr(lib, name.format("get_num_threads")))
+        except AttributeError:
+            continue
+    return None
+
+
+@contextmanager
+def _blas_threads(rows: int):
+    """One BLAS thread for a fiber of fewer than _ONE_THREAD_BELOW rows.
+
+    The previous count comes back on exit, also when the body raises.
+    Larger fibers, and BLAS builds other than OpenBLAS, run unchanged.
+    The count is process-wide, so solves overlapping in several threads
+    could restore each other's count; the library runs one at a time.
+    """
+    pair = _openblas_threads() if rows < _ONE_THREAD_BELOW else None
+    if pair is None:
+        yield
+        return
+    set_threads, get_threads = pair
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def _lanczos(S, split: bool):
     """Extreme eigenpairs of S by Lanczos from a seeded start vector.
 
@@ -178,21 +234,23 @@ def _extremes(S, split: bool):
     Returns (lo, hi, solver, tolerance, residual, split), the residual being
     the larger ||Sx - lambda x|| of the two eigenpairs and split saying
     whether Lanczos ran as two k=1 solves (see _lanczos).  Dense up to
-    DENSE_CAP rows, one scipy.linalg.eigh per extreme; Lanczos above it.
+    DENSE_CAP rows, one scipy.linalg.eigh per extreme; Lanczos above it;
+    one BLAS thread below _ONE_THREAD_BELOW rows (see _blas_threads).
     """
     nv = S.shape[0]
-    if nv <= max(DENSE_CAP, 2):  # Lanczos for two eigenpairs needs three rows
-        from scipy.linalg import eigh
+    with _blas_threads(nv):
+        if nv <= max(DENSE_CAP, 2):  # Lanczos for two eigenpairs needs three rows
+            from scipy.linalg import eigh
 
-        A = S.toarray()
-        (lo, x), (hi, y) = (eigh(A, subset_by_index=[i, i]) for i in (0, nv - 1))
-        vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
-        solver, tol = "dense", 1e-9
-    else:
-        vals, vecs, tol, split = _lanczos(S, split)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        solver = "iterative"
+            A = S.toarray()
+            (lo, x), (hi, y) = (eigh(A, subset_by_index=[i, i]) for i in (0, nv - 1))
+            vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
+            solver, tol = "dense", 1e-9
+        else:
+            vals, vecs, tol, split = _lanczos(S, split)
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+            solver = "iterative"
     residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
     return float(vals[0]), float(vals[1]), solver, tol, residual, split
 

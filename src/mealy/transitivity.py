@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .automaton import Automaton, _least_full_cycle, _run, dual, properties
-from .levels import LEVEL_CAP, _digits, _refute_dual, _walk, index_word, level_permutation
+from .levels import LEVEL_CAP, _refute_dual, _walk, index_word, level_permutation
 from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
 
@@ -31,26 +31,20 @@ from .schreier import first_divergence
 class OrbitReport:
     """Orbit decomposition of <w> on level n (or on a designated subset)."""
 
-    __slots__ = ("level", "sizes", "rep_indices", "transitive", "domain_size", "alphabet")
+    __slots__ = ("level", "sizes", "rep_indices", "transitive", "domain_size")
 
-    def __init__(self, level, sizes, rep_indices, transitive, domain_size, alphabet):
+    def __init__(self, level, sizes, rep_indices, transitive, domain_size):
         self.level = level
         self.sizes = sizes
         self.rep_indices = rep_indices
         self.transitive = transitive
         self.domain_size = domain_size
-        self.alphabet = alphabet
 
     def orbit_count(self) -> int:
         return len(self.sizes)
 
     def max_orbit(self) -> int:
         return max(self.sizes) if self.sizes else 0
-
-    def representatives(self) -> list[tuple[str, ...]]:
-        a = len(self.alphabet)
-        return [tuple(self.alphabet[x] for x in _digits(int(v), a, self.level))
-                for v in self.rep_indices]
 
     def csv_row(self) -> str:
         return f"{self.level},{self.orbit_count()},{self.max_orbit()},{str(self.transitive).lower()}"
@@ -93,7 +87,7 @@ def orbits_on_level(
     # one cycle through every member: all of them lie on it
     transitive = len(sizes) == 1 and sizes[0] == in_domain
     sizes.sort(reverse=True)
-    return OrbitReport(n, sizes, np.asarray(reps), transitive, in_domain, M.alphabet)
+    return OrbitReport(n, sizes, np.asarray(reps), transitive, in_domain)
 
 
 # -- characteristic series ---------------------------------------------------

@@ -100,9 +100,6 @@ class GroupWord:
                 out.append((q, s))
         return GroupWord(out)
 
-    def is_reduced(self) -> bool:
-        return len(self.reduce()) == len(self)
-
     def __len__(self) -> int:
         return len(self.letters)
 

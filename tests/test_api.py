@@ -79,3 +79,19 @@ def test_only_the_cli_opens_files_for_writing():
                        for m in modes):
                     writers.append(f"{path.name}:{node.lineno}")
     assert writers and all(w.startswith("cli.py:") for w in writers), writers
+
+
+def test_only_spectral_imports_ctypes():
+    # BLAS thread control lives in spectral._openblas_threads alone
+    importers = []
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers and all(i.startswith("spectral.py:") for i in importers), importers

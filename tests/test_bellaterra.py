@@ -12,19 +12,33 @@ from mealy.bellaterra import (
     F_solution,
     aleshin_relation_check,
     alpha,
-    alpha_inverse,
     balanced_ternary_value,
     balanced_ternary_word,
     lemma_transitive_check,
     phi,
-    phi_inverse,
     preperiod_growth,
     wreath_automaton,
     wreath_table_check,
 )
 from mealy.levels import index_word, level_maps, word_index
-from mealy.ratfunc import one_over_one_minus_t, t_over_one_minus_t, RationalSeries, Poly
+from mealy.ratfunc import RationalSeries, Poly
 from mealy.words import EventuallyPeriodicWord as EPW
+
+
+def _phi_inverse(x, v):
+    """Decode a state word not beginning with x back to u/d, one letter of
+    phi at a time: each next state is the image of u or of d."""
+    out, cur = [], x
+    for q in v:
+        out.append("u" if phi(cur, "u") == q else "d")
+        assert phi(cur, out[-1]) == q
+        cur = q
+    return "".join(out)
+
+
+def _alpha_inverse(w):
+    """w -> 2w + 1 on balanced-ternary coded values, the inverse of alpha."""
+    return balanced_ternary_word(2 * balanced_ternary_value(w) + 1)
 
 
 def test_phi_bijection_small_levels():
@@ -35,7 +49,7 @@ def test_phi_bijection_small_levels():
                 w = "".join(bits)
                 img = phi(x, w)
                 assert len(img) == n
-                assert phi_inverse(x, img) == w
+                assert _phi_inverse(x, img) == w
                 seen.add(img)
             assert len(seen) == 2**n
 
@@ -76,8 +90,8 @@ def test_wreath_table_check_passes():
 
 def test_six_series_pinned():
     F = F_solution()
-    geo = one_over_one_minus_t(2)
-    tge = t_over_one_minus_t(2)
+    geo = RationalSeries(Poly([1], 2), Poly([1, 1], 2))  # 1/(1-t) over F_2
+    tge = RationalSeries(Poly([0, 1], 2), Poly([1, 1], 2))  # t/(1-t)
     zero = RationalSeries(Poly([0], 2), Poly([1], 2))
     one = RationalSeries(Poly([1], 2), Poly([1], 2))
     assert F["b1b"] == geo
@@ -289,12 +303,12 @@ def test_alpha_halves_shifted_value(num, den):
     v = Fraction(num, den)
     w = balanced_ternary_word(v)
     assert balanced_ternary_value(alpha(w)) == (v - 1) / 2
-    assert balanced_ternary_value(alpha_inverse(w)) == 2 * v + 1
+    assert balanced_ternary_value(_alpha_inverse(w)) == 2 * v + 1
 
 
 def test_alpha_inverse_inverts():
     w = balanced_ternary_word(Fraction(7, 5))
-    assert alpha(alpha_inverse(w)) == w
+    assert alpha(_alpha_inverse(w)) == w
 
 
 def test_preperiod_growth_quick():
@@ -323,7 +337,7 @@ def test_preperiod_heights_follow_alpha_inverse():
     heights = preperiod_growth(30, 0).heights
     w = EPW.constant("c")
     for n in range(1, 31):
-        w = alpha_inverse(w)
+        w = _alpha_inverse(w)
         assert heights[n - 1] == w.h(), n
 
 

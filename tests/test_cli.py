@@ -1,8 +1,12 @@
 import itertools
 import json
+import os
+import platform
 import time
 
+import numpy as np
 import pytest
+import scipy
 
 from mealy import cli
 from mealy.bellaterra import AleshinReport, WreathReport
@@ -183,6 +187,13 @@ def test_every_output_file_has_a_manifest(tmp_path, capsys, argv, flag, pinned):
     man = json.loads((tmp_path / "out.manifest.json").read_text())
     assert man["subcommand"] == argv[0]
     assert man["flags"][flag[2:]] == str(out)
+    machine = man["machine"]
+    assert set(machine) == {"nproc", "python", "numpy", "scipy", "blas", "blas_version"}
+    assert machine["nproc"] == len(os.sched_getaffinity(0)) >= 1
+    assert machine["python"] == platform.python_version()
+    assert (machine["numpy"], machine["scipy"]) == (np.__version__, scipy.__version__)
+    blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (machine["blas"], machine["blas_version"]) == (blas["name"], blas.get("version"))
     if argv[0] in ("diameter", "gap") and flag == "--csv":
         assert text == printed
     if flag == "--dat":  # n and the normalized gap of each printed row

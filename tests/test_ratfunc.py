@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mealy.ratfunc import (
-    Poly,
-    RationalSeries,
-    one_over_one_minus_t,
-    solve_linear,
-    t_over_one_minus_t,
-)
+from mealy.ratfunc import Poly, RationalSeries, solve_linear
 
 
 def test_poly_arithmetic_mod2():
@@ -23,9 +17,10 @@ def test_poly_divmod():
 
 
 def test_series_geometric_coefficients():
-    s = one_over_one_minus_t(2)
+    s = RationalSeries(Poly([1], 2), Poly([1, 1], 2))  # 1/(1-t) over F_2
     assert s.coefficients(6) == [1, 1, 1, 1, 1, 1]
-    assert t_over_one_minus_t(3).coefficients(5) == [0, 1, 1, 1, 1]
+    # t/(1-t) over F_3, where -1 = 2
+    assert RationalSeries(Poly([0, 1], 3), Poly([1, 2], 3)).coefficients(5) == [0, 1, 1, 1, 1]
 
 
 def test_series_requires_unit_constant_denominator():

@@ -322,8 +322,101 @@ def test_fiber_extremes_clamped_to_degree(monkeypatch):
 
 
 def test_adding_machine_closed_form():
-    # S = I + (P + P^T)/2 for the 2^11-cycle P: eigenvalues 1 + cos(2 pi j / 2^11)
-    r = spectrum(build(builtin("adding"), 11))
-    assert abs(r.lam2 - (1 + math.cos(2 * math.pi / 2**11))) <= 1e-9
-    assert abs(r.lam_min) <= 1e-9
-    assert r.tolerance == 1e-10  # no fallback
+    # S = I + (P + P^T)/2 for the 2^n-cycle P: eigenvalues 1 + cos(2 pi j / 2^n),
+    # on levels whose fiber matrices are all above DENSE_CAP
+    series = gap_series(builtin("adding"), 9, 11)
+    assert [r.level for r in series] == [9, 10, 11]
+    for r in series:
+        assert r.solver == "iterative"
+        assert abs(r.lam2 - (1 + math.cos(2 * math.pi / 2**r.level))) <= 1e-9
+        assert abs(r.lam_min) <= 1e-9
+        assert r.tolerance == 1e-10  # no fallback
+
+
+class _FakeThreads:
+    """A BLAS thread count behind a set/get pair that logs every set."""
+
+    def __init__(self, count: int):
+        self.count, self.sets = count, []
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+    def get(self):
+        return self.count
+
+
+def _log_solves(monkeypatch, threads):
+    """Record (fiber rows, thread count in effect) at every dense and Lanczos solve."""
+    import scipy.linalg
+
+    solves, eigh, lanczos = [], scipy.linalg.eigh, spectral._lanczos
+
+    def dense(A, **kw):
+        solves.append((A.shape[0], threads()))
+        return eigh(A, **kw)
+
+    def iterative(S, split):
+        solves.append((S.shape[0], threads()))
+        return lanczos(S, split)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", dense)
+    monkeypatch.setattr(spectral, "_lanczos", iterative)
+    return solves
+
+
+def test_fibers_below_the_cut_run_on_one_blas_thread(monkeypatch):
+    fake = _FakeThreads(4)
+    monkeypatch.setattr(spectral, "_openblas_threads", lambda: (fake.set, fake.get))
+    monkeypatch.setattr(spectral, "_ONE_THREAD_BELOW", 64)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 16)
+    solves = _log_solves(monkeypatch, fake.get)
+    gap_series(A, 1, 10)
+    # levels 1..10 have fibers of 2^(k-1) rows: 1..16 dense, 32 by Lanczos
+    # below the cut, 64..512 by Lanczos at or above it
+    rows = [2 ** (k - 1) for k in range(1, 11)]
+    assert [n for n, _ in solves if n <= 16] == [n for n in rows if n <= 16 for _ in (0, 1)]
+    assert [n for n, _ in solves if n > 16] == rows[5:]
+    assert all(count == (1 if n < 64 else 4) for n, count in solves)
+    # one set(1) and one set(previous) around each of the six fibers below the cut
+    assert fake.sets == [1, 4] * 6 and fake.count == 4
+
+
+def test_blas_thread_count_restored_after_solver_error(monkeypatch):
+    fake = _FakeThreads(3)
+    monkeypatch.setattr(spectral, "_openblas_threads", lambda: (fake.set, fake.get))
+    monkeypatch.setattr(spectral, "DENSE_CAP", 8)
+
+    def fails(S, split):
+        assert fake.count == 1
+        raise spectral.SolverError("no convergence")
+
+    monkeypatch.setattr(spectral, "_lanczos", fails)
+    with pytest.raises(spectral.SolverError, match="level 5"):
+        gap_series(A, 1, 8)
+    # levels 1..4 dense, then level 5's Lanczos solve raises
+    assert fake.sets == [1, 3] * 5 and fake.count == 3
+
+
+def test_one_thread_rows_match_the_default_pool(monkeypatch):
+    # every fiber of levels 1..13 is below the cut: the rows printed on one
+    # BLAS thread are those of a run that leaves the thread count alone
+    for name in ("aleshin", "bellaterra", "div3"):
+        M = builtin(name)
+        one = [r.csv_row() for r in gap_series(M, 1, 13)]
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_openblas_threads", lambda: None)
+            assert [r.csv_row() for r in gap_series(M, 1, 13)] == one, name
+
+
+def test_real_blas_thread_count_comes_back(monkeypatch):
+    pair = spectral._openblas_threads()
+    if pair is None:
+        pytest.skip("scipy's BLAS is not OpenBLAS")
+    get_threads = pair[1]
+    before = get_threads()
+    solves = _log_solves(monkeypatch, get_threads)
+    gap_series(builtin("div3"), 1, 12)
+    assert get_threads() == before
+    assert solves and all(count == 1 for _, count in solves)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import Automaton, act_inf, builtin, dual, properties
+from mealy.automaton import Automaton, act, act_inf, builtin, dual, properties
 from mealy.classify import enumerate_classes
-from mealy.levels import is_single_cycle, level_maps, level_permutation, word_index
-from mealy.ratfunc import Poly, RationalSeries, one_over_one_minus_t
+from mealy.levels import index_word, is_single_cycle, level_maps, level_permutation, word_index
+from mealy.ratfunc import Poly, RationalSeries
 from mealy.transitivity import (
     char_coeffs,
     char_rational,
@@ -28,7 +28,7 @@ DIV = builtin("div3")
 
 def test_adding_machine_chi_is_geometric():
     assert char_coeffs(ADD, "r", 12) == [1] * 12
-    assert char_rational(ADD, "r") == one_over_one_minus_t(2)
+    assert char_rational(ADD, "r") == RationalSeries(Poly([1], 2), Poly([1, 1], 2))  # 1/(1-t)
 
 
 def test_identity_state_chi_vanishes():
@@ -107,10 +107,20 @@ def test_orbits_on_level_partition():
 
 @pytest.mark.parametrize("M,w,n", [(A, "a", 6), (ADD, "rr", 5), (builtin("affine(2,3)"), "0", 4)])
 def test_representatives_round_trip_through_word_index(M, w, n):
+    # one representative per orbit: the orbits of their words under act
+    # partition the level and have the reported sizes
     rep = orbits_on_level(M, w, n)
-    words = rep.representatives()
-    assert len(words) == rep.orbit_count() and all(len(u) == n for u in words)
+    words = [index_word(M, int(v), n) for v in rep.rep_indices]
     assert [word_index(M, u) for u in words] == [int(v) for v in rep.rep_indices]
+    orbits = []
+    for u in words:
+        orbit, x = {u}, act(M, w, u)
+        while x != u:
+            orbit.add(x)
+            x = act(M, w, x)
+        orbits.append(orbit)
+    assert sorted(map(len, orbits), reverse=True) == rep.sizes
+    assert len(set().union(*orbits)) == sum(rep.sizes) == rep.domain_size == M.n_letters**n
 
 
 def test_orbits_on_level_with_subset():

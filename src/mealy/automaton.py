@@ -500,7 +500,7 @@ def _run(steps, rows: list[int], letters) -> list[int]:
     Each row reads the word written by the row to its right and is left in
     rows at its section after that word, so calling again continues the
     same infinite input.  The only loop that walks letter words through the
-    step table.  A one-row cascade (act_inf, the index-coded word walks)
+    step table.  A one-row cascade (_row_pass, the index-coded word walks)
     keeps its row in a local and writes it back at the end; a longer one
     goes letter by letter through all rows, which suits the callers that
     feed one letter or a short word through many rows.
@@ -532,30 +532,39 @@ def act(M: Automaton, w, s):
     return format_symbols([M.alphabet[i] for i in out], s)
 
 
+def _row_pass(steps, row: int, pre: list[int], per: list[int]) -> tuple[list[int], list[int]]:
+    """The eventually periodic word one step-table row writes reading the
+    letter indices pre . per per ..., in canonical form (words._canonical).
+
+    The row reads pre once, then per pass after pass until it starts a pass
+    in a row it started one in before; the passes from that one on are the
+    period.  With at most one pass per step-table row, the cost is the
+    length of the stream written.  A table whose entries write the row they
+    leave makes this the row's stream of states instead.
+    """
+    cell = [row]
+    pre = _run(steps, cell, pre)
+    seen: dict[int, int] = {}
+    out: list[int] = []
+    while cell[0] not in seen:
+        seen[cell[0]] = len(out)
+        out += _run(steps, cell, per)
+    start = seen[cell[0]]
+    return _canonical(pre + out[:start], out[start:])
+
+
 def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
     """Apply w to an eventually periodic word; the image is again one.
 
-    The rows of w act one at a time, rightmost first, each on the
-    eventually periodic word the row to its right wrote: once over the
-    preperiod, then over the period until the row's own state repeats,
-    which takes at most one pass per step-table row.  The repeating passes
-    are the new period, reduced to its primitive root and rolled into
-    canonical form before the next row reads it, so the work is the sum of
-    the rows' output lengths.
+    The rows of w act one at a time, rightmost first, each by one _row_pass
+    on the canonical word the row to its right wrote, so the work is the
+    sum of the rows' output stream lengths.
     """
     steps = M.step_table()
     pre = [M.letter_index(x) for x in e.preperiod]
     per = [M.letter_index(x) for x in e.period]
     for row in reversed(_rows(M, w)):
-        cell = [row]
-        pre = _run(steps, cell, pre)
-        seen: dict[int, int] = {}
-        out: list[int] = []
-        while cell[0] not in seen:
-            seen[cell[0]] = len(out)
-            out += _run(steps, cell, per)
-        start = seen[cell[0]]
-        pre, per = _canonical(pre + out[:start], out[start:])
+        pre, per = _row_pass(steps, row, pre, per)
     return EventuallyPeriodicWord([M.alphabet[i] for i in pre], [M.alphabet[i] for i in per])
 
 

@@ -5,9 +5,9 @@ table to stdout, and mirrors any file output (CSV, JSON, DOT, dat) with a
 .manifest.json recording the exact invocation, so a run can be reproduced
 from its artifacts alone.
 
-Exit codes: 0 success, 1 a verification target failed, 2 usage error
-(including a request above a library size cap or an exhausted search
-budget).
+Exit codes: 0 success, 1 a verification target, an eigen solve or an
+internal self-check failed, 2 usage error (including a request above a
+library size cap or an exhausted search budget).
 """
 
 from __future__ import annotations
@@ -406,7 +406,8 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 2
-    except SolverError as e:  # the input was fine; the eigen solve was not
+    except (SolverError, AssertionError) as e:
+        # the input was fine; an eigen solve or a self-check was not
         print(f"error: {e}", file=sys.stderr)
         return 1
 

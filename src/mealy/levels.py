@@ -14,14 +14,20 @@ Whether a level map is one full cycle is decided by first return, the
 finite form of the section recursion for tree automorphisms (Nekrashevych,
 *Self-similar groups*, 2005): g is transitive on levels 1..n iff it is an
 a-cycle on level 1 and the section of g^a at vertex 0 is transitive on
-levels 1..n-1.  The kernel needs no tree structure, only this lemma: let p
-be a permutation of {0..N-1} and d a divisor of N such that p % d depends
-only on v % d, inducing sigma on {0..d-1}.  Then p is one N-cycle iff sigma
-is a d-cycle and the first-return map on the fiber arange(0, N, d) -- p
-applied d times, then divided by d -- is one (N/d)-cycle.  is_single_cycle
-finds d itself among the divisors of N up to MAX_DIVISOR and repeats the
-step down to WALK_CUTOFF points; a map with no such divisor, and the last
-small map, are decided by walking the cycle through 0 point by point.
+levels 1..n-1.  The kernel needs no tree structure and no bijectivity test,
+only this lemma: let p be a map of {0..N-1} into itself and d a divisor of
+N such that p % d depends only on v % d, inducing sigma on {0..d-1}.  Then
+p is one N-cycle iff sigma is a d-cycle and the first-return map f on the
+fiber arange(0, N, d) -- p applied d times, then divided by d -- is one
+(N/d)-cycle.  If both hold, p^{jd}(0) = d f^j(0) and p^k(0) = sigma^k(0)
+mod d, so the orbit of 0 comes back to 0 after N steps and no sooner: its
+period P has d | P and P / gcd(P, d) = N/d, so P = N, and N distinct
+points are all of range(N).  A cycle is checked by a walk that must close:
+from F[0], meeting all n points before a repeat, which holds iff F^1(0)
+.. F^n(0) are distinct and F^n(0) = 0.  is_single_cycle finds d itself
+among the divisors of N up to MAX_DIVISOR and repeats the step down to
+WALK_CUTOFF points; a map with no such divisor, and the last small map,
+are walked point by point.
 """
 
 from __future__ import annotations
@@ -232,6 +238,14 @@ def _walk(F, v: int, seen: bytearray) -> int:
     return n
 
 
+def _in_range(F: np.ndarray) -> np.ndarray:
+    """For each row of the 2-d array F (m, N), whether it maps into range(N).
+
+    A negative value reads as a huge one in the unsigned view, so one max
+    bounds both sides."""
+    return F.view(f"u{F.itemsize}").max(axis=1, initial=0) < max(F.shape[1], 1)
+
+
 def _image_gaps(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row of the 2-d array F (m, N): how many points of range(N)
     lie outside its image, -1 when the row is not a map into range(N); and
@@ -239,9 +253,8 @@ def _image_gaps(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, N = F.shape
     gaps = np.full(m, -1, dtype=np.intp)
     first = np.zeros(m, dtype=np.intp)
-    # a negative value reads as a huge one in the unsigned view, so one max
-    # bounds both sides; the mark takes one byte per point
-    rows = np.flatnonzero(F.view(f"u{F.itemsize}").max(axis=1, initial=0) < max(N, 1))
+    # the mark takes one byte per point
+    rows = np.flatnonzero(_in_range(F))
     gaps[rows] = 0
     if N > WALK_CUTOFF:
         # few big rows: a 1-d mark per row scatters faster than a 2-d one
@@ -290,33 +303,37 @@ def _compatible(p: np.ndarray, d: int) -> bool:
 
 
 def _one_cycle(p: np.ndarray) -> bool:
-    """Whether the bijection p of range(len(p)) is one cycle, by first return."""
+    """Whether the map p of range(len(p)) into itself is one cycle, by first
+    return; sigma's walk and the last walk start at the image of 0, so each
+    must close (module docstring)."""
     while len(p) > WALK_CUTOFF:
         N = len(p)
         d = next((d for d in range(2, MAX_DIVISOR + 1) if N % d == 0 and _compatible(p, d)),
                  None)
         if d is None:
             break
-        if _walk((p[:d] % d).tolist(), 0, bytearray(d)) != d:
+        sigma = (p[:d] % d).tolist()
+        if _walk(sigma, sigma[0], bytearray(d)) != d:
             return False
         x = np.arange(0, N, d, dtype=p.dtype)
         for _ in range(d):
             x = p[x]
         p = x // d
-    return len(p) == 0 or _walk(memoryview(p), 0, bytearray(len(p))) == len(p)
+    return len(p) == 0 or _walk(memoryview(p), int(p[0]), bytearray(len(p))) == len(p)
 
 
 def is_single_cycle(p: np.ndarray) -> bool:
     """Whether p is a permutation of range(len(p)) with one full-length cycle.
 
-    False for any array that is not a map into range(len(p)).  Above
-    WALK_CUTOFF points the answer comes by first return (module docstring):
-    while some divisor d <= MAX_DIVISOR of the length is compatible with p,
-    the map shrinks d-fold; what is left is walked.  Exact for every
-    permutation, tree map or not.
+    False for any array that is not a map into range(len(p)); one unsigned
+    max checks that, and no image is marked.  Above WALK_CUTOFF points the
+    answer comes by first return (module docstring): while some divisor
+    d <= MAX_DIVISOR of the length is compatible with p, the map shrinks
+    d-fold; what is left is walked.  Exact for every map into range(len(p)),
+    tree map, permutation or not.
     """
     p = np.asarray(p)
-    return bool(_image_gaps(p[None])[0][0] == 0) and _one_cycle(p)
+    return bool(_in_range(p[None])[0]) and _one_cycle(p)
 
 
 def has_spanning_orbit(F: np.ndarray):

@@ -272,11 +272,13 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
 def _level_cycler(M: Automaton, x: str, m: int, budget: int) -> GroupWord:
     u = find_level_witness(M, x, m, budget)
     k = first_divergence(M, u, x)
-    assert k is not None and k >= m, "witness contract violated"
+    if k is None or k < m:
+        raise AssertionError(f"witness contract violated: level {m} witness diverges at {k}")
     w = u
     if k > m:
         w = group_section(M, u, (x,) * (k - m)).reduce()
-        assert first_divergence(M, w, x) == m
+        if first_divergence(M, w, x) != m:
+            raise AssertionError(f"the level {m} cycler does not diverge at {m}")
     return w
 
 
@@ -288,10 +290,11 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
     of the alphabet cycle, so at most |A| - 1 applications fix it.  The
     image is kept as letter indices, and each application runs the
     cycler's section at x^m on its tail from position m.  The result is
-    length O(n^2) and is verified by act before returning.  ValueError,
-    naming the level, when |A| applications leave position m unfixed, as
-    on many words over dual(div3), whose sections need not cycle the
-    alphabet.
+    length O(n^2) and is verified by act before returning; AssertionError,
+    raised explicitly so python -O keeps it, when that check or the prefix
+    check at a level fails.  ValueError, naming the level, when |A|
+    applications leave position m unfixed, as on many words over
+    dual(div3), whose sections need not cycle the alphabet.
     """
     letters = tuple(s)
     xi = M.letter_index(x)
@@ -312,9 +315,12 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
         else:
             raise ValueError(f"level {m}: {p} applications of the level cycler do not put "
                              f"letter {x!r} at position {m}")
-        assert cur[: m + 1] == [xi] * (m + 1)
+        if cur[:m + 1] != [xi] * (m + 1):
+            raise AssertionError(f"level {m}: the level cycler moved the prefix {x!r}^{m}")
     total = GroupWord(q for cyc in reversed(applied) for q in cyc).reduce()
-    assert tuple(act(M, total, letters)) == (x,) * len(letters), "steering self-check failed"
+    if tuple(act(M, total, letters)) != (x,) * len(letters):
+        raise AssertionError("steering self-check failed: act does not map the input to "
+                             f"{x!r}^{len(letters)}")
     return total
 
 

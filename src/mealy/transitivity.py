@@ -15,12 +15,12 @@ trajectory is eventually periodic inside Z_m^{|Q|}.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 from typing import Callable
 
 import numpy as np
 
-from .automaton import Automaton, _least_full_cycle, _run, dual, properties
+from .automaton import Automaton, _least_full_cycle, _row_pass, dual, properties
 from .levels import LEVEL_CAP, _refute_dual, _walk, index_word, level_permutation
 from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
@@ -210,7 +210,8 @@ class Verdict:
     __slots__ = ("kind", "witness", "level", "evidence")
 
     def __init__(self, kind: str, witness: str | None = None, level: int | None = None, evidence=None):
-        assert kind in ("yes", "no", "unknown")
+        if kind not in ("yes", "no", "unknown"):
+            raise AssertionError(f"verdict kind {kind!r} is not yes, no or unknown")
         self.kind = kind
         self.witness = witness
         self.level = level
@@ -276,15 +277,25 @@ def stabilizes_infinite(M: Automaton, w, x: str) -> bool:
 def orbit_cycle(M: Automaton, x: str, v) -> tuple[int, int]:
     """(preperiod, period) of the state word v under repeated tau_x.
 
-    Feeds x through the rows of v until the row tuple repeats, as
-    first_divergence does: one _run call and one `seen` entry per orbit
-    point.  For reversible automata the preperiod is 0 and the period is
-    the orbit size; the empty word repeats at once, (0, 1).
+    Row j of v, in state s_t after t letters x, reads the stream the rows
+    to its right write, rightmost row x x x ...; the orbit point t is the
+    tuple of the rows' s_t.  The rows run right to left, as in act_inf:
+    one _row_pass per row gives its output stream for the next row, and
+    one over a table whose entries write the row they leave gives its state
+    stream in canonical form, with minimal preperiod h_j and period p_j.
+    (h, p) is an eventual period of a stream iff h >= h_j and p_j | p, so
+    the orbit's is (max h_j, lcm p_j).  The work is the sum of the rows'
+    stream lengths, not the orbit length.  For reversible automata the
+    preperiod is 0 and the period is the orbit size; the empty word repeats
+    at once, (0, 1).
     """
-    xi, steps = M.letter_index(x), M.step_table()
-    rows = [M.state_index(q) for q in v]
-    seen: dict[tuple, int] = {}
-    while (key := tuple(rows)) not in seen:
-        seen[key] = len(seen)
-        _run(steps, rows, [xi])
-    return (seen[key], len(seen) - seen[key])
+    steps = M.step_table()
+    states = [[(row, nxt) for _, nxt in entries] for row, entries in enumerate(steps)]
+    pre, per = [], [M.letter_index(x)]
+    h, p = 0, 1
+    for q in reversed(v):
+        row = M.state_index(q)
+        spre, sper = _row_pass(states, row, pre, per)
+        h, p = max(h, len(spre)), lcm(p, len(sper))
+        pre, per = _row_pass(steps, row, pre, per)
+    return h, p

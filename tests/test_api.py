@@ -81,6 +81,16 @@ def test_only_the_cli_opens_files_for_writing():
     assert writers and all(w.startswith("cli.py:") for w in writers), writers
 
 
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements; a check must be an explicit raise
+    asserts = []
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                asserts.append(f"{path.name}:{node.lineno}")
+    assert asserts == []
+
+
 def test_only_spectral_imports_ctypes():
     # BLAS thread control lives in spectral._openblas_threads alone
     importers = []

@@ -404,6 +404,18 @@ def test_steer_by_witness_level(capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_failed_steering_self_check_is_no_usage_error(monkeypatch, capsys):
+    from mealy import schreier
+
+    monkeypatch.setattr(schreier, "act", lambda M, w, s: tuple(s))
+    code = run(["steer", "--builtin", "aleshin", "--letter", "0", "--input", "0110"])
+    assert code not in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: steering self-check failed")
+
+
 def test_steer_without_a_cycling_section_is_usage_error(tmp_path, capsys):
     from mealy.automaton import builtin, dual
 

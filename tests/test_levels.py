@@ -270,6 +270,38 @@ def test_first_return_matches_walk_without_compatible_divisor(N, cycle, seed):
     assert found or not cycle
 
 
+def _open_walk_maps():
+    """Maps into range(N) above the cutoff that first return reduces, none
+    of them one cycle:
+    - sigma_rho: 3i -> 3(i + 1) + 1, 3i + 1 <-> 3i + 2; sigma is the rho
+      0 -> 1 -> 2 -> 1, and p^3(3i) // 3 = i + 1 would be one cycle;
+    - first_return_tail: v -> v + 1, but N - 1 -> 2; sigma is a 2-cycle and
+      the first-return map 1 -> 2 -> ... -> N/2 - 1 -> 1 leaves 0 a tail;
+    - two_cycles: the same with 1 -> 0, so 0 <-> 1 is a cycle of its own.
+    """
+    N = 3 * 4096
+    v = np.arange(N)
+    rho = np.where(v % 3 == 0, (v + 3) % N + 1, np.where(v % 3 == 1, v + 1, v - 1))
+    N = 1 << 13
+    tail = (np.arange(N) + 1) % N
+    tail[N - 1] = 2
+    two = tail.copy()
+    two[1] = 0
+    return {"sigma_rho": rho, "first_return_tail": tail, "two_cycles": two}
+
+
+@pytest.mark.parametrize("kind", ["sigma_rho", "first_return_tail", "two_cycles"])
+def test_first_return_walks_must_close(kind):
+    # a walk from 0 that marks every point but does not come back to 0 is a
+    # rho, not a cycle; without the image mark only closing rejects these
+    F = _open_walk_maps()[kind]
+    assert len(F) > WALK_CUTOFF
+    assert any(len(F) % d == 0 and levels._compatible(F, d)
+               for d in range(2, levels.MAX_DIVISOR + 1))
+    assert _assert_kernel_matches_walk(F)[1] is False
+    assert (sorted(F) == list(range(len(F)))) == (kind == "two_cycles")
+
+
 def test_first_return_walks_no_big_map(monkeypatch):
     # the 390,625-point map must be decided by first return: a fallback to
     # walking the whole map would record a walk above the cutoff

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import product as iproduct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -219,6 +223,13 @@ def test_level_cycler_cache_keys_on_budget():
         level_cycler(B, "1", 6, budget=1)
 
 
+def test_level_cycler_checks_the_witness_contract(monkeypatch):
+    # a witness that never moves x x x ... breaks the contract: an explicit raise
+    monkeypatch.setattr(schreier, "find_level_witness", lambda *args: GroupWord())
+    with pytest.raises(AssertionError, match="witness contract violated"):
+        level_cycler(B, "1", 3, budget=97)
+
+
 def test_level_cycler_cache_is_bounded():
     from mealy.schreier import _level_cycler
     for b in range(256 + 5):
@@ -274,6 +285,26 @@ def test_steer_to_matches_symbol_loop(M):
                 assert _steer_outcome(steer_to, M, x, s) == want, (x, s)
     # the 3-letter alphabet of dual(div3) needs a cycler twice on one level
     assert max(counts) == M.n_letters - 1
+
+
+def test_steer_to_self_check_raises(monkeypatch):
+    # act returns the input unmoved: the final check must fail, and as an
+    # explicit raise, so python -O keeps it
+    monkeypatch.setattr(schreier, "act", lambda M, w, s: tuple(s))
+    with pytest.raises(AssertionError, match="steering self-check failed"):
+        steer_to(A, "0", "0110")
+
+
+def test_checks_survive_optimized_python():
+    code = ("from mealy import schreier\n"
+            "from mealy.automaton import builtin\n"
+            "schreier.act = lambda M, w, s: tuple(s)\n"
+            "schreier.steer_to(builtin('aleshin'), '0', '0110')\n")
+    src = str(Path(schreier.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode != 0
+    assert "AssertionError: steering self-check failed" in done.stderr
 
 
 def test_steer_word_length_quadratic():

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mealy.automaton import Automaton, act, act_inf, builtin, dual, properties
+from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin, dual, properties
 from mealy.classify import enumerate_classes
-from mealy.levels import index_word, is_single_cycle, level_maps, level_permutation, word_index
+from mealy.levels import (
+    all_level_maps,
+    index_word,
+    is_single_cycle,
+    level_maps,
+    level_permutation,
+    word_index,
+)
 from mealy.ratfunc import Poly, RationalSeries
 from mealy.transitivity import (
+    Verdict,
     char_coeffs,
     char_rational,
     cotransitivity,
@@ -247,19 +255,39 @@ def test_orbit_cycle_empty_word():
 NONINV = Automaton(["p", "q"], ["0", "1"], [[1, 1], [0, 1]], [[0, 1], [1, 0]])
 
 
-@pytest.mark.parametrize("M, v, expected", [(DIV, "0001", (0, 54)), (NONINV, "qqpp", (2, 2))])
-def test_orbit_cycle_runs_once_per_orbit_point(monkeypatch, M, v, expected):
+@pytest.mark.parametrize("M, v, expected", [(DIV, "0001", (0, 54)), (NONINV, "qqpp", (2, 2)),
+                                             (DIV, "0" * 9 + "1", (0, 2 * 3**9))])
+def test_orbit_cycle_runs_per_row_not_per_orbit_point(monkeypatch, M, v, expected):
+    # each row reads its input once over the preperiod and at most once per
+    # step-table row over the period, for its output and its state stream
+    import mealy.automaton as au
     import mealy.transitivity as tr
     calls = []
-    run = tr._run
+    run = au._run
 
     def counted(steps, rows, word):
-        calls.append(tuple(rows))
+        calls.append(rows)
         return run(steps, rows, word)
 
-    monkeypatch.setattr(tr, "_run", counted)
+    for module in (au, tr):  # wherever the walk is bound
+        if hasattr(module, "_run"):
+            monkeypatch.setattr(module, "_run", counted)
     assert orbit_cycle(M, "0", v) == expected
-    assert len(calls) == sum(expected) == len(set(calls))
+    assert len(calls) <= 2 * len(v) * (len(M.step_table()) + 1)
+
+
+def _rho(F, u):
+    """(preperiod, period) of u under the map F, from a dict of first visits."""
+    first: dict[int, int] = {}
+    while u not in first:
+        first[u] = len(first)
+        u = int(F[u])
+    return first[u], len(first) - first[u]
+
+
+def _dual_index(M, v):
+    # the dual reads the rightmost state first: it is the least significant digit
+    return sum(M.state_index(q) * M.n_states**i for i, q in enumerate(reversed(v)))
 
 
 @settings(deadline=None, max_examples=150)
@@ -274,15 +302,32 @@ def test_orbit_cycle_matches_rho_on_dual_level_map(nq, na, data):
                   data.draw(cells), data.draw(letters))
     x = data.draw(st.sampled_from(M.alphabet))
     v = data.draw(st.lists(st.sampled_from(M.states), min_size=1, max_size=5))
-    m = len(v)
-    # the dual reads the rightmost state first: it is the least significant digit
-    F = level_maps(dual(M), m)[M.letter_index(x)]
-    u = sum(M.state_index(q) * nq**i for i, q in enumerate(reversed(v)))
-    first: dict[int, int] = {}
-    while u not in first:
-        first[u] = len(first)
-        u = int(F[u])
-    assert orbit_cycle(M, x, v) == (first[u], len(first) - first[u])
+    F = level_maps(dual(M), len(v))[M.letter_index(x)]
+    assert orbit_cycle(M, x, v) == _rho(F, _dual_index(M, v))
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"])
+def test_orbit_cycle_matches_rho_on_builtin_dual_level_maps(name):
+    M = builtin(name)
+    rng = np.random.default_rng(23)
+    for m, maps in enumerate(all_level_maps(dual(M), 8)[1:], start=1):
+        for _ in range(3):
+            v = [M.states[i] for i in rng.integers(0, M.n_states, m)]
+            for xi, x in enumerate(M.alphabet):
+                assert orbit_cycle(M, x, v) == _rho(maps[xi], _dual_index(M, v)), (x, v)
+
+
+def test_orbit_cycle_matches_rho_on_div3_digit_words():
+    # the div3 orbit periods 2 * 3^(m-1) of criterion 9, walked point by point
+    D = dual(DIV)
+    for m in range(1, 11):
+        v = "0" * (m - 1) + "1"
+        assert orbit_cycle(DIV, "0", v) == _rho(level_maps(D, m)[0], _dual_index(DIV, v))
+
+
+def test_verdict_refuses_unknown_kind():
+    with pytest.raises(AssertionError, match="verdict kind 'maybe'"):
+        Verdict("maybe")
 
 
 def test_chi_requires_cyclic():

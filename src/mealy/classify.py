@@ -427,8 +427,10 @@ def classify_cotransitive(
 
     jobs is the thread count of the key pass (see canonical_keys).  The
     classes then go through _table_properties and levels._refute_dual as
-    stacked tables on the calling thread; only cocyclic classes and
-    survivors become Automata, for the series criterion and conjugation.
+    stacked tables on the calling thread (a level pass of levels._SPLIT_CUT
+    entries or more splits on the level kernels' pool); only cocyclic
+    classes and survivors become Automata, for the series criterion and
+    conjugation.
     """
     rep = CensusReport(q, a, level_budget, shard=shard)
     keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)

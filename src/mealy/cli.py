@@ -207,7 +207,8 @@ def _cmd_cotransitive(args, started):
     else:
         extra = f" (dual state {v.witness})" if v.kind == "yes" else (
             f" (every dual state fails by level {v.level})" if v.kind == "no" else
-            f" (undecided within budget {args.budget})")
+            f" (undecided within budget {args.budget})" if "capped_at" not in v.evidence else
+            f" (undecided at level {v.level}, the highest the level caps allow)")
         print(f"cotransitive: {v.kind}{extra}")
     return 0
 

@@ -32,6 +32,10 @@ are walked point by point.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 from .automaton import Automaton, _rows
@@ -50,6 +54,70 @@ MAX_DIVISOR = 16  # largest fiber size tried by first return
 _STACK_ROWS = 32
 _PROBE_ROWS = 64
 _BLOCK_ROWS = 1 << 14
+# kernels over fewer level entries than this run on the calling thread.
+# Median ms on a 2-vCPU x86 VM, one thread -> two ranges, at 2^17, 2^18,
+# 2^19, 2^20 and 2^22 entries:
+#   level step     0.2 -> 0.5    0.35 -> 0.6   0.56 -> 0.68   1.6 -> 1.1-1.2   6.4 -> 3.5-3.9
+#   compatibility  0.7 -> 0.5    1.3 -> 0.9    2.0 -> 1.5     5.6 -> 3.1-3.4   21 -> 12
+#   first return   0.1-0.2 -> 0.3  0.4-0.6 -> 0.55  1.1-1.4 -> 1.1  2.2-3.0 -> 2.3  16 -> 10.4
+# The level step gains from 2^20 up, first return from 2^20-2^21; below the
+# cut the split's own cost (waking the workers, the GIL between numpy
+# calls) outweighs what it saves.
+_SPLIT_CUT = 1 << 20
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _pin(cpus) -> None:
+    try:
+        os.sched_setaffinity(0, {next(cpus)})
+    except OSError:
+        pass  # an unpinned worker still runs its ranges
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The one pool of the level kernels, made on first use: one worker per
+    CPU available (the count canonical_keys clamps its jobs to), each
+    pinned to its own CPU.  Where the OS does not balance load across CPUs
+    (a cpuset with sched_load_balance off), a new thread stays on the CPU
+    of the thread that made it, and unpinned workers would share one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = sorted(os.sched_getaffinity(0))
+            _pool = ThreadPoolExecutor(len(cpus), "mealy-levels", _pin, (iter(cpus),))
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads: it makes its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(fn, n: int, size: int) -> list:
+    """[fn(lo, hi), ...] over contiguous ranges that cover range(n), in order.
+
+    A kernel touching at least _SPLIT_CUT level entries (size) runs one
+    range per CPU on the shared pool, where numpy releases the GIL, while
+    the caller waits.  Below the cut, or with one CPU, it is fn(0, n) on
+    the calling thread and no pool is made.  fn must not call _split: a
+    pool task never submits to the pool, so callers on any number of
+    threads cannot deadlock it.
+    """
+    k = min(n, len(os.sched_getaffinity(0))) if size >= _SPLIT_CUT else 1
+    if k <= 1:
+        return [fn(0, n)]
+    edges = [n * i // k for i in range(k + 1)]
+    pool = _executor()
+    futures = [pool.submit(fn, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    # the parts write into the caller's arrays: none may outlive the call
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def _dtype_for(size: int):
@@ -118,14 +186,24 @@ def _level_step(o: np.ndarray, t: np.ndarray, P: np.ndarray) -> np.ndarray:
     their level maps P (m, |Q|, a^k): words with first letter x map through
     state q as output digit o[q][x] plus a times the map of t[q][x]."""
     m, nq, a = o.shape
-    new = np.empty((m, nq, a * P.shape[2]), dtype=P.dtype)
+    K = P.shape[2]
+    new = np.empty((m, nq, a * K), dtype=P.dtype)
+    # a times the source, one (q, x) at a time: made here, so a range on a
+    # pool thread allocates nothing for one table
+    scaled = np.empty((m, K), dtype=P.dtype)
     r = np.arange(m)
-    for q in range(nq):
-        for x in range(a):
-            s = t[:, q, x]
-            # one target for every row, as always for one table: a view, no copy
-            src = P[:, s[0]] if (s == s[0]).all() else P[r, s]
-            new[:, q, x::a] = o[:, q, x, None] + a * src
+    # one target for every row, as always for one table: a view, no gather
+    same = (t == t[:1]).all(axis=0)
+
+    def part(lo, hi):
+        for q in range(nq):
+            for x in range(a):
+                s = t[:, q, x]
+                src = P[:, s[0], lo:hi] if same[q, x] else P[r, s, lo:hi]
+                b = np.multiply(src, a, out=scaled[:, lo:hi])
+                np.add(b, o[:, q, x, None], out=new[:, q, a * lo + x:a * hi:a])
+
+    _split(part, K, new.size)
     return new
 
 
@@ -164,8 +242,9 @@ def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
     Dual state x of table i maps level k as new[i, x, s::q] = T[i, s, x] +
     q * P[i, O[i, s, x]] (_level_step on the swapped tables).  Tables with a
     state alive go on to the next level, in chunks of at most ARRAY_CAP
-    level entries.  Errors as in _levels: a refused level raises
-    MemoryError only when a table reaches it with a state alive.
+    level entries, up to the highest level the caps allow,
+    _top_level((|A|, |Q|), budget, LEVEL_CAP); a state alive there stays 0,
+    and a refutation below it stands.
     """
     m, q, a = T.shape
     if budget < 0:
@@ -176,11 +255,9 @@ def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
     t = np.asarray(O, dtype=np.intp).transpose(0, 2, 1)
     fail = np.zeros((m, a), dtype=np.int64)
     # (rows, their level k-1 maps, k), taken depth first; level 0 takes no memory
-    todo = [(np.arange(m), np.broadcast_to(np.zeros(1, dt), (m, a, 1)), 1)] if budget and m else []
+    todo = [(np.arange(m), np.broadcast_to(np.zeros(1, dt), (m, a, 1)), 1)] if top and m else []
     while todo:
         rows, P, k = todo.pop()
-        if k > top:
-            raise MemoryError(_oversize((a, q), k, LEVEL_CAP))
         step = max(1, ARRAY_CAP // (a * q**k))
         if len(rows) > step:
             todo += [(rows[i:i + step], P[i:i + step], k) for i in range(0, len(rows), step)]
@@ -192,7 +269,7 @@ def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
         f[live] = np.where(has_spanning_orbit(F if live.all() else F[live.ravel()]), 0, k)
         fail[rows] = f
         keep = (f == 0).any(axis=1)
-        if k < budget and keep.any():
+        if k < top and keep.any():
             todo.append((rows[keep], new if keep.all() else new[keep], k + 1))
     return fail
 
@@ -297,9 +374,43 @@ def _compatible(p: np.ndarray, d: int) -> bool:
     rows = p.reshape(-1, d)  # rows[i][r] = p[i*d + r]
     first = rows[0] % d
     # a short first block, where a map compatible with nothing usually fails,
-    # then blocks of bounded size so the temporaries stay small
-    edges = [0, *range(_PROBE_ROWS, len(rows), _BLOCK_ROWS), len(rows)]
-    return all((rows[lo:hi] % d == first).all() for lo, hi in zip(edges, edges[1:]))
+    # then the rest in ranges, each in blocks of bounded size so the
+    # temporaries stay small
+    if not (rows[:_PROBE_ROWS] % d == first).all():
+        return False
+    rest = rows[_PROBE_ROWS:]
+
+    def part(lo, hi):
+        return all((rest[i:min(hi, i + _BLOCK_ROWS)] % d == first).all()
+                   for i in range(lo, hi, _BLOCK_ROWS))
+
+    return all(_split(part, len(rest), len(p)))
+
+
+def _first_return(p: np.ndarray, d: int) -> np.ndarray:
+    """The first-return map of p on the fiber arange(0, N, d): p applied d
+    times, then divided by d.  Its first step is the strided view p[0::d];
+    each range of the fiber then gathers in blocks of _BLOCK_ROWS points,
+    through one index buffer, into its slice of the result, so no
+    temporary grows with N.  p maps into range(len(p)), so the gathers
+    need no bounds check."""
+    f = np.empty(len(p) // d, dtype=p.dtype)
+
+    def part(lo, hi):
+        # take() would copy indices of any other dtype into a new intp array
+        idx = np.empty(min(hi - lo, _BLOCK_ROWS), dtype=np.intp)
+        for i in range(lo, hi, _BLOCK_ROWS):
+            j = min(hi, i + _BLOCK_ROWS)
+            x, y = idx[:j - i], f[i:j]
+            np.copyto(x, p[i * d:j * d:d])
+            np.take(p, x, out=y, mode="clip")
+            for _ in range(d - 2):
+                np.copyto(x, y)
+                np.take(p, x, out=y, mode="clip")
+            np.floor_divide(y, d, out=y)
+
+    _split(part, len(f), len(p))
+    return f
 
 
 def _one_cycle(p: np.ndarray) -> bool:
@@ -315,10 +426,7 @@ def _one_cycle(p: np.ndarray) -> bool:
         sigma = (p[:d] % d).tolist()
         if _walk(sigma, sigma[0], bytearray(d)) != d:
             return False
-        x = np.arange(0, N, d, dtype=p.dtype)
-        for _ in range(d):
-            x = p[x]
-        p = x // d
+        p = _first_return(p, d)
     return len(p) == 0 or _walk(memoryview(p), int(p[0]), bytearray(len(p))) == len(p)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .automaton import Automaton, _least_full_cycle, _row_pass, dual, properties
-from .levels import LEVEL_CAP, _refute_dual, _walk, index_word, level_permutation
+from .levels import LEVEL_CAP, _refute_dual, _top_level, _walk, index_word, level_permutation
 from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
 
@@ -235,7 +235,9 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     Exact when M is cocyclic (characteristic-series criterion on the dual);
     otherwise levels 1..budget are searched for refutations of every dual
     state (levels._refute_dual on this one table), and the verdict is
-    unknown if some state survives.
+    unknown if some state survives.  The search stops at the highest level
+    the level caps allow; a verdict left unknown there has that level and
+    evidence "capped_at".
     """
     if not M.is_invertible():
         raise ValueError("cotransitivity assumes an invertible automaton")
@@ -251,12 +253,12 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     evidence = {M.alphabet[x]: n for n, x in sorted((n, x) for x, n in enumerate(fail) if n)}
     if all(fail):
         return Verdict("no", level=max(fail), evidence={"first_bad_level": evidence, "exact": False})
-    return Verdict(
-        "unknown",
-        level=level_budget,
-        evidence={"surviving_states": [M.alphabet[x] for x, n in enumerate(fail) if not n],
-                  "first_bad_level": evidence},
-    )
+    top = _top_level(M.t.shape[::-1], level_budget, LEVEL_CAP)
+    evidence = {"surviving_states": [M.alphabet[x] for x, n in enumerate(fail) if not n],
+                "first_bad_level": evidence}
+    if top < level_budget:
+        evidence["capped_at"] = top
+    return Verdict("unknown", level=top, evidence=evidence)
 
 
 # -- stabilization of x^infinity ----------------------------------------------

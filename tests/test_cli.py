@@ -299,6 +299,18 @@ def test_cotransitive_subcommand(capsys):
     assert "no" in out
 
 
+def test_cotransitive_budget_past_the_cap_reports_unknown(capsys):
+    # level 11 is above the level cap: the verdict reached at level 10 is kept
+    args = ["cotransitive", "--builtin", "bireversible52", "--budget", "12"]
+    assert run(args + ["--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["verdict"], d["level"], d["evidence"]["capped_at"]) == ("unknown", 10, "10")
+    assert "'0'" in d["evidence"]["surviving_states"]
+    assert run(args) == 0
+    assert capsys.readouterr().out.strip() == (
+        "cotransitive: unknown (undecided at level 10, the highest the level caps allow)")
+
+
 def test_classify_writes_report(tmp_path, capsys):
     out = tmp_path / "census.json"
     assert run(["classify", "--states", "2", "--letters", "2", "--out", str(out)]) == 0

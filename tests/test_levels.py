@@ -1,4 +1,9 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -481,16 +486,15 @@ def test_refute_dual_chunks_within_array_cap(monkeypatch):
     assert max(sizes) <= levels.ARRAY_CAP and len(sizes) >= -(-len(T) // 27)
 
 
-def test_refute_dual_refused_level_raises_only_for_survivors(monkeypatch):
+def test_refute_dual_stops_at_the_highest_level_the_caps_allow(monkeypatch):
     T, O = _class_tables(3, 2)
     want = levels._refute_dual(T, O, 2)
+    assert (want == 0).any() and (want > 0).all(axis=1).any()
     monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**2)  # level 3 is refused
-    assert np.array_equal(levels._refute_dual(T, O, 2), want)
-    # tables refuted below the cap keep their verdict at any budget
-    dead = (want > 0).all(axis=1)
-    assert np.array_equal(levels._refute_dual(T[dead], O[dead], 10**9), want[dead])
-    with pytest.raises(MemoryError, match=r"2 rows of level size 3\^3"):
-        levels._refute_dual(T, O, 4)
+    # refutations up to level 2 stand, and states alive there stay 0, at any
+    # budget from the cap level on
+    for budget in (2, 4, 12, 10**9):
+        assert np.array_equal(levels._refute_dual(T, O, budget), want)
 
 
 def test_refute_dual_budget_edges():
@@ -499,3 +503,189 @@ def test_refute_dual_budget_edges():
     assert levels._refute_dual(T[:0], O[:0], 4).shape == (0, 2)
     with pytest.raises(ValueError, match="below 0"):
         levels._refute_dual(T, O, -1)
+
+
+# -- range split of the level kernels -------------------------------------------
+
+
+class _CountingPool(ThreadPoolExecutor):
+    def __init__(self):
+        super().__init__(3)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def both_ways(request, monkeypatch):
+    """run(fn, *args) gives (fn(*args) unsplit, fn(*args) with every level
+    kernel split into request.param ranges), on a pool of the test's own;
+    run.parts and run.pool for the checks."""
+    pool = _CountingPool()
+    monkeypatch.setattr(levels, "_pool", pool)
+    monkeypatch.setattr(levels.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+
+    def run(fn, *args):
+        monkeypatch.setattr(levels, "_SPLIT_CUT", 1 << 62)
+        want = fn(*args)
+        monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
+        return want, fn(*args)
+
+    run.parts, run.pool = request.param, pool
+    yield run
+    pool.shutdown()
+
+
+def test_split_level_maps_match_unsplit(both_ways):
+    names = [n for n in BUILTIN_NAMES if n != "affine(k,m)"]
+    machines = [m for name in names for m in (builtin(name), dual(builtin(name)))]
+    assert len(machines) == 12
+    for M in machines:
+        want, got = both_ways(all_level_maps, M, 8)
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b), M.name
+    assert (both_ways.pool.submitted > 0) == (both_ways.parts > 1)
+
+
+def test_split_refute_dual_matches_unsplit(both_ways):
+    T, O = _class_tables(3, 2)
+    want, got = both_ways(levels._refute_dual, T, O, 5)
+    assert np.array_equal(want, got) and want.any() and not want.all()
+
+
+def _split_cases(rng):
+    """1,000 maps above the cutoff: perturbed level-map cycles that first
+    return reduces, random N-cycles, and random maps of _random_map kinds."""
+    kinds = ["perm", "cycle", "tail", "one_gap", "two_gaps", "high", "negative"]
+    for i in range(1000):
+        if i % 3 == 0:
+            a, F = _CYCLES[i % len(_CYCLES)]
+            F = F.copy()
+            for _ in range(i % 2):
+                step = a ** int(rng.integers(1, 5))
+                j = int(rng.integers(len(F)))
+                k = (j + step * int(rng.integers(1, len(F) // step))) % len(F)
+                F[[j, k]] = F[[k, j]]
+            yield F
+        else:
+            N = int(rng.choice([2053, 2310, 4096, 5000, 3 * 4096]))
+            yield _random_map(rng, N, kinds[i % len(kinds)] if i % 3 == 1 else "cycle")
+
+
+def _first_half_compatible():
+    """The N-cycle v -> v + 1 with two neighbours' images swapped near the
+    end: every divisor d is compatible on the first half of the blocks and
+    fails only there, so a split's first range alone would say yes."""
+    N = 1 << 14
+    F = (np.arange(N) + 1) % N
+    F[[N - 3, N - 2]] = F[[N - 2, N - 3]]
+    return F
+
+
+def test_split_single_cycle_matches_unsplit(both_ways):
+    # a seed per part count: 3,000 maps over the three
+    rng = np.random.default_rng(both_ways.parts)
+    answers = [both_ways(is_single_cycle, F) for F in _split_cases(rng)]
+    assert all(want == got for want, got in answers)
+    assert {want for want, _ in answers} == {False, True}
+    F = _first_half_compatible()
+    assert (F[:len(F) // 2].reshape(-1, 2) % 2 == [1, 0]).all()
+    assert both_ways(levels._compatible, F, 2) == (False, False)
+    for F in [*_open_walk_maps().values(), F]:
+        for arr in (F.astype(np.int32), F.astype(np.int64), np.repeat(F, 2)[::2]):
+            assert both_ways(is_single_cycle, arr) == (False, False)
+            assert both_ways(has_spanning_orbit, arr) == tuple(2 * [_walk_oracle(F)[0]])
+    assert (both_ways.pool.submitted > 0) == (both_ways.parts > 1)
+
+
+def test_one_cpu_makes_no_pool(monkeypatch):
+    monkeypatch.setattr(levels, "_pool", None)
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
+    monkeypatch.setattr(levels.os, "sched_getaffinity", lambda pid: {0})
+    D = dual(builtin("bireversible52"))
+    assert is_single_cycle(level_maps(D, 6)[D.states.index("0")])
+    T, O = _class_tables(3, 2)
+    levels._refute_dual(T, O, 4)
+    assert levels._pool is None
+
+
+def test_a_worker_that_cannot_pin_still_runs(monkeypatch):
+    # CPU 4095 is not there: that worker stays unpinned, and the split holds;
+    # a pool whose initializer raised would refuse every later submission
+    assert len(os.sched_getaffinity(0)) < 4096
+    levels._pin(iter([4095]))
+    monkeypatch.setattr(levels, "_pool", None)
+    monkeypatch.setattr(levels.os, "sched_getaffinity", lambda pid: {0, 4095})
+    F = _CYCLES[2][1]
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
+    got = []
+    try:
+        for _ in range(3):
+            got.append(levels._first_return(F, 5))
+            time.sleep(0.05)
+    finally:
+        levels._pool.shutdown()
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1 << 62)
+    want = levels._first_return(F, 5)
+    assert all(np.array_equal(g, want) for g in got)
+
+
+def test_callers_on_many_threads_share_the_pool(monkeypatch):
+    # each caller's parts run on the pool and no part submits to it, so four
+    # callers on two or more workers all finish, with the unsplit answers
+    monkeypatch.setattr(levels, "_pool", None)
+    D = dual(builtin("bireversible52"))
+    xi = D.states.index("0")
+    want = level_maps(D, 7)
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1 << 10)
+    results = [None] * 4
+
+    def caller(i):
+        for _ in range(3):
+            P = level_maps(D, 7)
+            results[i] = (P, is_single_cycle(P[xi]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        if levels._pool is not None:
+            levels._pool.shutdown()
+    for P, single in results:
+        assert single and P.dtype == want.dtype and np.array_equal(P, want)
+
+
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # the child has none of the parent's pool threads: parts sent to that
+    # pool would never run
+    monkeypatch.setattr(levels, "_pool", None)
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
+    monkeypatch.setattr(levels.os, "sched_getaffinity", lambda pid: {0, 1})
+    F = _CYCLES[0][1]
+    try:
+        assert is_single_cycle(F) and levels._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                code = 0 if is_single_cycle(F) and levels._pool is not None else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        levels._pool.shutdown()

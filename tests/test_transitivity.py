@@ -218,9 +218,35 @@ def test_cotransitivity_verdict_below_cap_stands():
         assert v.kind == "no" and v.level == 2
 
 
-def test_cotransitivity_survivor_above_cap_raises():
-    with pytest.raises(MemoryError, match=r"5\^11"):
-        cotransitivity(builtin("bireversible52"), 30)
+def test_cotransitivity_survivor_at_cap_is_unknown():
+    # level 11 of the dual, 5^11 points, is above LEVEL_CAP: the search stops
+    # at level 10 with dual state 0 alive, and the budget does not change that
+    for budget in (12, 30):
+        v = cotransitivity(builtin("bireversible52"), budget)
+        assert v.kind == "unknown" and v.level == 10
+        assert v.evidence["capped_at"] == 10
+        assert v.evidence["surviving_states"] == ["0"]
+        assert v.evidence["first_bad_level"] == {"1": 1}
+    assert "capped_at" not in cotransitivity(builtin("bireversible52"), 4).evidence
+
+
+def test_cotransitivity_refutation_at_the_cap_level_stands(monkeypatch):
+    # a (3,2) class whose last dual state falls at level L >= 2, with the
+    # caps lowered so that L is the highest level built: "no" at L, at any
+    # budget; one level less, and it is unknown there
+    from mealy import levels
+
+    M = next(M for M in enumerate_classes(3, 2)
+             if (v := cotransitivity(M, 4)).kind == "no" and v.level >= 2
+             and v.evidence["exact"] is False)
+    L = cotransitivity(M, 4).level
+    monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**L)
+    for budget in (L, 12):
+        v = cotransitivity(M, budget)
+        assert (v.kind, v.level, "capped_at" in v.evidence) == ("no", L, False)
+    monkeypatch.setattr(levels, "ARRAY_CAP", 2 * 3**(L - 1))
+    v = cotransitivity(M, 12)
+    assert (v.kind, v.level, v.evidence["capped_at"]) == ("unknown", L - 1, L - 1)
 
 
 def test_stabilizes_infinite_examples():

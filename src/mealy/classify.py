@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -35,7 +34,7 @@ from .automaton import (
     product,
     properties,
 )
-from .levels import _refute_dual
+from .levels import _refute_dual, _split
 from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_exact
 
 CANON_MAX_STATES = 6
@@ -170,10 +169,10 @@ def canonical_form(M: Automaton) -> bytes:
 
 def _key_tables(keys: np.ndarray, q: int, a: int):
     """Stacked (T, O) tables of _least_cells rows."""
-    return _split(keys.astype(">u8").view(np.uint8)[:, : q * a], q, a)
+    return _cell_tables(keys.astype(">u8").view(np.uint8)[:, : q * a], q, a)
 
 
-def _split(cells: np.ndarray, q: int, a: int):
+def _cell_tables(cells: np.ndarray, q: int, a: int):
     """Stacked (T, O) tables of cell strings, one per row: cells % q and cells // q."""
     cells = cells.reshape(-1, q, a)
     return cells % q, cells // q
@@ -237,7 +236,7 @@ def _raw_cells(q: int, a: int, start: int, end: int) -> np.ndarray:
 
 def _raw_batch(q: int, a: int, start: int, end: int):
     """Invertible tables numbered start..end-1 as (T, O) int8 index arrays."""
-    T, O = _split(_raw_cells(q, a, start, end).T, q, a)
+    T, O = _cell_tables(_raw_cells(q, a, start, end).T, q, a)
     return T.view(np.int8), O.view(np.int8)
 
 
@@ -258,41 +257,40 @@ def canonical_keys(
 
     Row i is the least cell string of class i as _least_cells words;
     _key_bytes turns it into the canonical_form key.  Each batch of raw
-    tables is split into shares of at most _CHUNK tables, at least one per
-    worker (at most jobs, and no more than the CPUs available).  A share
-    is decoded straight into _cells columns by _raw_cells, filtered on a
-    thread, where numpy releases the GIL, and the batch is sorted: a batch
-    keeps the tables that are the least of their class (see _orbit_least),
-    so its keys are distinct.  With cache_dir (default
-    $MEALY_CACHE_DIR) each batch's keys are saved, and a rerun loads them,
-    so an interrupted run resumes where it stopped.
+    tables runs on levels._split as tables * q * a cells, in ranges of
+    shares of at most _CHUNK tables (at most jobs ranges).  A share is
+    decoded straight into _cells columns by _raw_cells and filtered, and
+    the batch is sorted: a batch keeps the tables that are the least of
+    their class (see _orbit_least), so its keys are distinct.  With
+    cache_dir (default $MEALY_CACHE_DIR) each batch's keys are saved, and a
+    rerun loads them, so an interrupted run resumes where it stopped.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, not {jobs}")
     N = table_space_size(q, a)
     if cache_dir is None:
         cache_dir = os.environ.get("MEALY_CACHE_DIR")
-    n_batches = (N + batch_size - 1) // batch_size
-    workers = min(jobs, len(os.sched_getaffinity(0)), batch_size, N)
     parts = []
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        for bi in range(n_batches):
-            path = None
-            if cache_dir:
-                # "be8" names the row format; files of another format, such
-                # as the older int64 keys, are never read back as keys
-                path = os.path.join(cache_dir, f"canon-be8-{q}x{a}-{batch_size}-{bi}.npy")
-                if os.path.exists(path):
-                    parts.append(np.load(path))
-                    continue
-            lo = bi * batch_size
-            hi = min(N, lo + batch_size)
-            step = min(_CHUNK, -(-(hi - lo) // workers))
-            shares = ex.map(lambda s: _orbit_least(_raw_cells(q, a, s, min(hi, s + step)), q, a),
-                            range(lo, hi, step))
-            uniq = _unique_rows(np.concatenate(list(shares)))
-            if path:
-                os.makedirs(cache_dir, exist_ok=True)
-                np.save(path, uniq)
-            parts.append(uniq)
+    for lo in range(0, N, batch_size):
+        # "be8" names the row format; files of another format, such as the
+        # older int64 keys, are never read back as keys
+        path = cache_dir and os.path.join(
+            cache_dir, f"canon-be8-{q}x{a}-{batch_size}-{lo // batch_size}.npy")
+        if path and os.path.exists(path):
+            parts.append(np.load(path))
+            continue
+        n = min(batch_size, N - lo)
+
+        def shares(i, j):
+            return [_orbit_least(_raw_cells(q, a, s, min(lo + j, s + _CHUNK)), q, a)
+                    for s in range(lo + i, lo + j, _CHUNK)]
+
+        ranges = _split(shares, n, n * q * a, jobs)
+        uniq = _unique_rows(np.concatenate([w for r in ranges for w in r]))
+        if path:
+            os.makedirs(cache_dir, exist_ok=True)
+            np.save(path, uniq)
+        parts.append(uniq)
     return _unique_rows(np.concatenate(parts))
 
 

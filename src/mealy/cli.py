@@ -29,7 +29,7 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, table_space_size
-from .levels import LEVEL_CAP, _levels, _oversize, is_single_cycle
+from .levels import LEVEL_CAP, _levels, _oversize, _top_level, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, SolverError, gap_series
 from .transitivity import cotransitivity, first_intransitive_level
@@ -188,12 +188,15 @@ def _cmd_transitive(args, started):
         else:
             print(f"{args.state}: not transitive, first failing level {lvl} (exact)")
         return 0
-    # level 0 is one point, so the search fails first at level 1 or later
-    for n, P in enumerate(_levels(M, args.levels, LEVEL_CAP)):
+    top = _top_level(M.t.shape, args.levels, LEVEL_CAP)
+    # level 0 is one point, so the search fails first at level 1 or later;
+    # _levels refuses --levels below 0 (top is 0 then)
+    for n, P in enumerate(_levels(M, min(top, args.levels), LEVEL_CAP)):
         if not is_single_cycle(P[qi]):
             print(f"{args.state}: not transitive, first failing level {n} (orbit check)")
             return 0
-    print(f"{args.state}: transitive up to level {args.levels} (no exact criterion; unknown beyond)")
+    capped = ", the highest the level caps allow" if top < args.levels else ""
+    print(f"{args.state}: transitive up to level {top}{capped} (no exact criterion; unknown beyond)")
     return 0
 
 

@@ -54,9 +54,9 @@ MAX_DIVISOR = 16  # largest fiber size tried by first return
 _STACK_ROWS = 32
 _PROBE_ROWS = 64
 _BLOCK_ROWS = 1 << 14
-# kernels over fewer level entries than this run on the calling thread.
-# Median ms on a 2-vCPU x86 VM, one thread -> two ranges, at 2^17, 2^18,
-# 2^19, 2^20 and 2^22 entries:
+# kernels over fewer level entries (key-pass table cells) than this run on
+# the calling thread.  Median ms on a 2-vCPU x86 VM, one thread -> two
+# ranges, at 2^17, 2^18, 2^19, 2^20 and 2^22 entries:
 #   level step     0.2 -> 0.5    0.35 -> 0.6   0.56 -> 0.68   1.6 -> 1.1-1.2   6.4 -> 3.5-3.9
 #   compatibility  0.7 -> 0.5    1.3 -> 0.9    2.0 -> 1.5     5.6 -> 3.1-3.4   21 -> 12
 #   first return   0.1-0.2 -> 0.3  0.4-0.6 -> 0.55  1.1-1.4 -> 1.1  2.2-3.0 -> 2.3  16 -> 10.4
@@ -77,11 +77,10 @@ def _pin(cpus) -> None:
 
 
 def _executor() -> ThreadPoolExecutor:
-    """The one pool of the level kernels, made on first use: one worker per
-    CPU available (the count canonical_keys clamps its jobs to), each
-    pinned to its own CPU.  Where the OS does not balance load across CPUs
-    (a cpuset with sched_load_balance off), a new thread stays on the CPU
-    of the thread that made it, and unpinned workers would share one."""
+    """The one thread pool of the library, made on first use: one worker per
+    CPU available, each pinned to its own CPU.  Where the OS does not balance
+    load across CPUs (a cpuset with sched_load_balance off), a new thread stays
+    on the CPU of the thread that made it, and unpinned workers would share one."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -99,17 +98,17 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(fn, n: int, size: int) -> list:
+def _split(fn, n: int, size: int, most: int | None = None) -> list:
     """[fn(lo, hi), ...] over contiguous ranges that cover range(n), in order.
 
     A kernel touching at least _SPLIT_CUT level entries (size) runs one
-    range per CPU on the shared pool, where numpy releases the GIL, while
-    the caller waits.  Below the cut, or with one CPU, it is fn(0, n) on
-    the calling thread and no pool is made.  fn must not call _split: a
-    pool task never submits to the pool, so callers on any number of
-    threads cannot deadlock it.
+    range per CPU, and at most most ranges, on the shared pool, where numpy
+    releases the GIL, while the caller waits.  Below the cut, or with one
+    CPU, it is fn(0, n) on the calling thread and no pool is made.  fn must
+    not call _split: a pool task never submits to the pool, so callers on
+    any number of threads cannot deadlock it.
     """
-    k = min(n, len(os.sched_getaffinity(0))) if size >= _SPLIT_CUT else 1
+    k = min(n, len(os.sched_getaffinity(0)), most or n) if size >= _SPLIT_CUT else 1
     if k <= 1:
         return [fn(0, n)]
     edges = [n * i // k for i in range(k + 1)]

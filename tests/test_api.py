@@ -107,13 +107,13 @@ def test_only_spectral_imports_ctypes():
     assert importers and all(i.startswith("spectral.py:") for i in importers), importers
 
 
-def test_only_classify_and_levels_create_thread_pools():
-    # the key pass's pool and the level kernels' shared pool; a kernel that
-    # wants threads splits its ranges on levels._split
+def test_only_levels_creates_a_thread_pool():
+    # levels._executor is the one pool; a kernel that wants threads, the
+    # census key pass among them, splits its ranges on levels._split
     creators = []
     for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call) and "ThreadPoolExecutor" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 creators.append(f"{path.name}:{node.lineno}")
-    assert sorted({c.split(":")[0] for c in creators}) == ["classify.py", "levels.py"], creators
+    assert sorted({c.split(":")[0] for c in creators}) == ["levels.py"], creators

@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -233,7 +233,7 @@ def test_canonical_form_of_builtins_matches_oracle(name):
 
 def test_key_cache_is_read_back(tmp_path, monkeypatch):
     want = canonical_keys(3, 2)
-    # written by two threads, read back by one: the files do not depend on jobs
+    # written with jobs=2, read back with jobs=1: the files do not depend on jobs
     assert (canonical_keys(3, 2, cache_dir=str(tmp_path), jobs=2) == want).all()
     assert [p.name for p in tmp_path.iterdir()] == [f"canon-be8-3x2-{1 << 20}-0.npy"]
 
@@ -253,38 +253,77 @@ def test_key_cache_ignores_int64_files(tmp_path, monkeypatch):
     assert (tmp_path / f"canon-be8-3x2-{1 << 20}-0.npy").exists()
 
 
-def test_jobs_clamped_to_cpus_and_slices(inline_pool):
-    want32, want22 = canonical_keys(3, 2), canonical_keys(2, 2)
-    for q, a, batch, jobs, log in (
-        (3, 2, 1 << 20, 1, [("workers", 1), ("slices", 1), ("share", 5832)]),
-        (3, 2, 1 << 20, 2, [("workers", 2), ("slices", 2)] + [("share", 2916)] * 2),
-        (3, 2, 1 << 20, 10**5, [("workers", 3), ("slices", 3)] + [("share", 1944)] * 3),  # 3 CPUs
-        # 2-table batches
-        (2, 2, 2, 10**5, [("workers", 2)] + [("slices", 2), ("share", 1), ("share", 1)] * 32),
+def _whole_space_keys(q, a):
+    return _unique_rows(_least_cells(*_raw_batch(q, a, 0, table_space_size(q, a)), q, a))
+
+
+def _ranges(n, k):
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def test_jobs_clamped_to_cpus_and_slices(key_pass, monkeypatch):
+    want = {(q, a): _whole_space_keys(q, a) for q, a in ((3, 2), (2, 2))}
+    # 5,832 (3,2) tables are 34,992 cells, below levels._SPLIT_CUT: one
+    # range on the calling thread, whatever jobs
+    for jobs in (1, 2, 10**5):
+        key_pass.ranges.clear()
+        key_pass.shares.clear()
+        assert (canonical_keys(3, 2, jobs=jobs) == want[3, 2]).all()
+        assert key_pass.ranges == [1] and key_pass.shares == [(0, 5832)]
+    assert key_pass.pool.submitted == 0
+    # above the cut: min(jobs, CPUs, tables) ranges, on the pool when more than one
+    monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
+    for q, a, batch, jobs, k in (
+        (3, 2, 1 << 20, 1, 1),
+        (3, 2, 1 << 20, 2, 2),
+        (3, 2, 1 << 20, 10**5, 3),  # 3 CPUs
+        (2, 2, 2, 10**5, 2),  # 2-table batches
+        (2, 2, 1, 10**5, 1),
     ):
-        inline_pool.clear()
-        keys = canonical_keys(q, a, batch_size=batch, jobs=jobs)
-        assert (keys == (want32 if q == 3 else want22)).all()
-        assert inline_pool == log
+        key_pass.ranges.clear()
+        key_pass.shares.clear()
+        key_pass.pool.submitted = 0
+        assert (canonical_keys(q, a, batch_size=batch, jobs=jobs) == want[q, a]).all()
+        N = table_space_size(q, a)
+        assert key_pass.ranges == [k] * -(-N // batch)
+        assert key_pass.pool.submitted == (len(key_pass.ranges) * k if k > 1 else 0)
+        assert sorted(key_pass.shares) == [(lo + i, lo + j) for lo in range(0, N, batch)
+                                           for i, j in _ranges(min(batch, N - lo), k)]
 
 
 @pytest.mark.parametrize("chunk", [1 << 5, classify._CHUNK])
-def test_shares_stay_within_chunk(inline_pool, monkeypatch, chunk):
+def test_shares_stay_within_chunk(key_pass, monkeypatch, chunk):
     monkeypatch.setattr(classify, "_CHUNK", chunk)
     for q, a in ((3, 2), (2, 2)):
         N = table_space_size(q, a)
-        want = _unique_rows(_least_cells(*_raw_batch(q, a, 0, N), q, a))
-        for jobs in (1, 2):
-            inline_pool.clear()
+        want = _whole_space_keys(q, a)
+        for cut, jobs in product((1, levels._SPLIT_CUT), (1, 2)):
+            monkeypatch.setattr(levels, "_SPLIT_CUT", cut)
+            key_pass.ranges.clear()
+            key_pass.shares.clear()
             assert (canonical_keys(q, a, jobs=jobs) == want).all()
-            shares = [n for kind, n in inline_pool if kind == "share"]
-            assert sum(shares) == N and max(shares) <= chunk
-            assert len(shares) == max(jobs, -(-N // chunk))
+            k = jobs if cut == 1 else 1
+            assert key_pass.ranges == [k]
+            # each range is cut into shares from its start, and they tile it
+            shares = sorted(key_pass.shares)
+            assert max(j - i for i, j in shares) <= chunk
+            assert shares == [(s, min(j, s + chunk)) for i, j in _ranges(N, k)
+                              for s in range(i, j, chunk)]
+
+
+def test_key_pass_runs_on_the_level_pool(counting_pool):
+    # (4,2) is 2^20 tables, 8.4 M cells: two ranges on levels._executor()
+    assert levels._executor() is counting_pool
+    want = canonical_keys(4, 2)
+    assert counting_pool.submitted == 0 and len(want) == 22592
+    assert (canonical_keys(4, 2, jobs=2) == want).all()
+    assert counting_pool.submitted == 2
 
 
 def test_jobs_below_one_rejected():
     for jobs in (0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
             canonical_keys(2, 2, jobs=jobs)
 
 

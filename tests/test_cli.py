@@ -293,6 +293,29 @@ def test_transitive_orbit_fallback(tmp_path, capsys):
     assert "transitive up to level 5" in capsys.readouterr().out
 
 
+def test_transitive_stops_at_the_level_cap(tmp_path, monkeypatch, capsys):
+    from mealy.automaton import builtin, dual
+
+    # a cap of 5^4 points keeps the search cheap; the verdicts below it stand
+    monkeypatch.setattr(cli, "LEVEL_CAP", 5**4)
+    d52, s3 = tmp_path / "d52.aut", tmp_path / "s3.aut"
+    d52.write_text(dual(builtin("bireversible52")).to_text())
+    s3.write_text(S3_MACHINE)
+    unknown = " (no exact criterion; unknown beyond)"
+    for table, q, levels, out in (
+        (d52, "0", "12", "0: transitive up to level 4, the highest the level caps allow" + unknown),
+        (d52, "0", "4", "0: transitive up to level 4" + unknown),
+        (d52, "0", "3", "0: transitive up to level 3" + unknown),
+        # a fails first at level 6, and 3^6 points are above the cap
+        (s3, "a", "8", "a: transitive up to level 5, the highest the level caps allow" + unknown),
+        (s3, "b", "8", "b: not transitive, first failing level 1 (orbit check)"),
+    ):
+        assert run(["transitive", "--file", str(table), "--state", q, "--levels", levels]) == 0
+        assert capsys.readouterr().out.strip() == out
+    assert run(["transitive", "--file", str(d52), "--state", "0", "--levels", "-3"]) == 2
+    assert capsys.readouterr().err.strip() == "error: level -3 is below 0"
+
+
 def test_cotransitive_subcommand(capsys):
     assert run(["cotransitive", "--builtin", "bellaterra", "--budget", "4"]) == 0
     out = capsys.readouterr().out
@@ -341,16 +364,24 @@ def test_classify_jobs_below_one_is_usage_error(capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
-def test_classify_jobs_reach_key_pass_with_shard(tmp_path, inline_pool):
+def test_classify_jobs_reach_key_pass_with_shard(tmp_path, key_pass, monkeypatch):
+    from mealy import levels
     from mealy.classify import classify_cotransitive
 
     out = tmp_path / "s.json"
-    for jobs, workers in (("2", 2), ("100000", 3)):  # inline_pool has 3 CPUs
-        inline_pool.clear()
+    # (3,2) is below the cut, and so are its level passes: no pool; above
+    # it, min(jobs, CPUs) ranges (key_pass has 3 CPUs), and the level
+    # passes of the pipeline split on the pool too
+    for cut, jobs, k in ((levels._SPLIT_CUT, "2", 1), (1, "1", 1), (1, "2", 2), (1, "100000", 3)):
+        monkeypatch.setattr(levels, "_SPLIT_CUT", cut)
+        key_pass.ranges.clear()
+        key_pass.shares.clear()
+        key_pass.pool.submitted = 0
         assert run(["classify", "--states", "3", "--letters", "2", "--shard", "1/3",
                     "--jobs", jobs, "--out", str(out)]) == 0
-        assert inline_pool == ([("workers", workers), ("slices", workers)]
-                               + [("share", 5832 // workers)] * workers)
+        assert key_pass.ranges == [k]
+        assert (key_pass.pool.submitted > 0) == (cut == 1)
+        assert sorted(key_pass.shares) == [(5832 * i // k, 5832 * (i + 1) // k) for i in range(k)]
         want = classify_cotransitive(3, 2, shard=(1, 3))
         assert out.read_text() == want.to_json() + "\n"
 

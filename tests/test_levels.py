@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -508,36 +507,6 @@ def test_refute_dual_budget_edges():
 # -- range split of the level kernels -------------------------------------------
 
 
-class _CountingPool(ThreadPoolExecutor):
-    def __init__(self):
-        super().__init__(3)
-        self.submitted = 0
-
-    def submit(self, *args, **kwargs):
-        self.submitted += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture(params=[1, 2, 3])
-def both_ways(request, monkeypatch):
-    """run(fn, *args) gives (fn(*args) unsplit, fn(*args) with every level
-    kernel split into request.param ranges), on a pool of the test's own;
-    run.parts and run.pool for the checks."""
-    pool = _CountingPool()
-    monkeypatch.setattr(levels, "_pool", pool)
-    monkeypatch.setattr(levels.os, "sched_getaffinity", lambda pid: set(range(request.param)))
-
-    def run(fn, *args):
-        monkeypatch.setattr(levels, "_SPLIT_CUT", 1 << 62)
-        want = fn(*args)
-        monkeypatch.setattr(levels, "_SPLIT_CUT", 1)
-        return want, fn(*args)
-
-    run.parts, run.pool = request.param, pool
-    yield run
-    pool.shutdown()
-
-
 def test_split_level_maps_match_unsplit(both_ways):
     names = [n for n in BUILTIN_NAMES if n != "affine(k,m)"]
     machines = [m for name in names for m in (builtin(name), dual(builtin(name)))]
@@ -634,18 +603,19 @@ def test_a_worker_that_cannot_pin_still_runs(monkeypatch):
 
 def test_callers_on_many_threads_share_the_pool(monkeypatch):
     # each caller's parts run on the pool and no part submits to it, so four
-    # callers on two or more workers all finish, with the unsplit answers
+    # callers on two or more workers all finish, with the unsplit answers;
+    # the census key pass shares the pool too
     monkeypatch.setattr(levels, "_pool", None)
     D = dual(builtin("bireversible52"))
     xi = D.states.index("0")
-    want = level_maps(D, 7)
+    want, want_keys = level_maps(D, 7), canonical_keys(3, 2)
     monkeypatch.setattr(levels, "_SPLIT_CUT", 1 << 10)
     results = [None] * 4
 
     def caller(i):
         for _ in range(3):
             P = level_maps(D, 7)
-            results[i] = (P, is_single_cycle(P[xi]))
+            results[i] = (P, is_single_cycle(P[xi]), canonical_keys(3, 2, jobs=2))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -660,8 +630,9 @@ def test_callers_on_many_threads_share_the_pool(monkeypatch):
         sys.setswitchinterval(interval)
         if levels._pool is not None:
             levels._pool.shutdown()
-    for P, single in results:
+    for P, single, keys in results:
         assert single and P.dtype == want.dtype and np.array_equal(P, want)
+        assert np.array_equal(keys, want_keys)
 
 
 def test_forked_child_makes_its_own_pool(monkeypatch):

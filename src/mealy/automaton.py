@@ -27,7 +27,8 @@ class Automaton:
     output-letter index.
     """
 
-    __slots__ = ("states", "alphabet", "t", "o", "name", "_sidx", "_aidx", "_inv_out", "_steps", "_hash")
+    __slots__ = ("states", "alphabet", "t", "o", "name", "_sidx", "_aidx", "_inv_out", "_steps",
+                 "_row_of", "_hash")
 
     def __init__(
         self,
@@ -76,6 +77,7 @@ class Automaton:
         self.name = name
         self._inv_out = None
         self._steps = None
+        self._row_of = None
         self._hash = None
 
     # -- basic access ------------------------------------------------------
@@ -123,16 +125,19 @@ class Automaton:
 
         Rows 0..|Q|-1 are the states.  An invertible automaton also has rows
         |Q|..2|Q|-1 for the inverse states q', whose entries lead to the row
-        of the next inverse state, so a walk never tests a sign.
+        of the next inverse state, so a walk never tests a sign.  Beside it
+        is kept the row of each GroupWord letter (state, sign) it has.
         """
         if self._steps is None:
             nq = self.n_states
             o, t = self.o.tolist(), self.t.tolist()
             steps = [list(zip(o[q], t[q])) for q in range(nq)]
+            row_of = {(q, 1): i for i, q in enumerate(self.states)}
             if self.is_invertible():
                 inv = self.inv_out().tolist()
                 steps += [[(x, t[q][x] + nq) for x in inv[q]] for q in range(nq)]
-            self._steps = steps
+                row_of.update({(q, -1): i + nq for i, q in enumerate(self.states)})
+            self._steps, self._row_of = steps, row_of
         return self._steps
 
     def table_key(self) -> tuple:
@@ -485,12 +490,32 @@ def _signed_letters(M: Automaton, w) -> list[tuple[int, int]]:
 
 
 def _rows(M: Automaton, w) -> list[int]:
-    """Step-table rows of the letters of w, leftmost first."""
+    """Step-table rows of the letters of w, leftmost first.
+
+    A GroupWord costs one lookup of the step table's row map per letter;
+    a letter the map lacks, and any other form of w, takes the parsing
+    path, which names an unknown state or the missing inverse."""
+    steps = M.step_table()
+    if isinstance(w, GroupWord):
+        try:
+            return [M._row_of[letter] for letter in w.letters]
+        except KeyError:
+            pass
     nq = M.n_states
     rows = [qi if s > 0 else qi + nq for qi, s in _signed_letters(M, w)]
-    if rows and max(rows) >= len(M.step_table()):
+    if rows and max(rows) >= len(steps):
         raise ValueError("automaton is not invertible")
     return rows
+
+
+def _row_walk(steps, r: int, letters, append) -> int:
+    """Feed letter indices through the one step-table row r, passing each
+    written letter to append; return the row reached.  The only loop that
+    walks a letter word through one row."""
+    for xi in letters:
+        xi, r = steps[r][xi]
+        append(xi)
+    return r
 
 
 def _run(steps, rows: list[int], letters) -> list[int]:
@@ -499,19 +524,14 @@ def _run(steps, rows: list[int], letters) -> list[int]:
 
     Each row reads the word written by the row to its right and is left in
     rows at its section after that word, so calling again continues the
-    same infinite input.  The only loop that walks letter words through the
-    step table.  A one-row cascade (_row_pass, the index-coded word walks)
-    keeps its row in a local and writes it back at the end; a longer one
-    goes letter by letter through all rows, which suits the callers that
-    feed one letter or a short word through many rows.
+    same infinite input.  A one-row cascade (the index-coded word walks)
+    is one _row_walk; a longer one goes letter by letter through all rows,
+    which suits the callers that feed one letter or a short word through
+    many rows.
     """
-    out = []
+    out: list[int] = []
     if len(rows) == 1:
-        r = rows[0]
-        for xi in letters:
-            xi, r = steps[r][xi]
-            out.append(xi)
-        rows[0] = r
+        rows[0] = _row_walk(steps, rows[0], letters, out.append)
         return out
     cascade = range(len(rows) - 1, -1, -1)
     for xi in letters:
@@ -538,19 +558,20 @@ def _row_pass(steps, row: int, pre: list[int], per: list[int]) -> tuple[list[int
 
     The row reads pre once, then per pass after pass until it starts a pass
     in a row it started one in before; the passes from that one on are the
-    period.  With at most one pass per step-table row, the cost is the
-    length of the stream written.  A table whose entries write the row they
-    leave makes this the row's stream of states instead.
+    period.  Every pass writes onto one list, and with at most one pass per
+    step-table row the cost is the length of the stream written.  A table
+    whose entries write the row they leave makes this the row's stream of
+    states instead.
     """
-    cell = [row]
-    pre = _run(steps, cell, pre)
-    seen: dict[int, int] = {}
     out: list[int] = []
-    while cell[0] not in seen:
-        seen[cell[0]] = len(out)
-        out += _run(steps, cell, per)
-    start = seen[cell[0]]
-    return _canonical(pre + out[:start], out[start:])
+    append = out.append
+    r = _row_walk(steps, row, pre, append)
+    seen: dict[int, int] = {}
+    while r not in seen:
+        seen[r] = len(out)
+        r = _row_walk(steps, r, per, append)
+    start = seen[r]
+    return _canonical(out[:start], out[start:])
 
 
 def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
@@ -558,14 +579,17 @@ def act_inf(M: Automaton, w, e: EventuallyPeriodicWord) -> EventuallyPeriodicWor
 
     The rows of w act one at a time, rightmost first, each by one _row_pass
     on the canonical word the row to its right wrote, so the work is the
-    sum of the rows' output stream lengths.
+    sum of the rows' output stream lengths.  The last pass leaves the image
+    canonical, so it is not canonicalized again.
     """
     steps = M.step_table()
     pre = [M.letter_index(x) for x in e.preperiod]
     per = [M.letter_index(x) for x in e.period]
     for row in reversed(_rows(M, w)):
         pre, per = _row_pass(steps, row, pre, per)
-    return EventuallyPeriodicWord([M.alphabet[i] for i in pre], [M.alphabet[i] for i in per])
+    a = M.alphabet
+    return EventuallyPeriodicWord._of_canonical(tuple([a[i] for i in pre]),
+                                                tuple([a[i] for i in per]))
 
 
 def dual_act(M: Automaton, v, s):

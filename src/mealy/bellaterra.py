@@ -30,7 +30,7 @@ from operator import eq
 
 import numpy as np
 
-from .automaton import Automaton, _run, act_inf, builtin, dual
+from .automaton import Automaton, _row_pass, _run, builtin, dual
 from .levels import _digits, _walk, all_level_maps, invert_perm, level_maps
 from .ratfunc import RationalSeries
 from .transitivity import _char_rationals, char_coeffs
@@ -401,13 +401,15 @@ def preperiod_growth(n_max: int = 2000, adding_n_max: int = 10000) -> PreperiodR
         heights.append(L)
     slope = float(np.polyfit(np.arange(1, n_max + 1), heights, 1)[0])
 
+    # the odometer image stays as letter indices, one row pass per power
     M = builtin("adding")
-    w = EventuallyPeriodicWord("", "0")
+    steps, r = M.step_table(), M.state_index("r")
+    pre, per = [], [M.letter_index("0")]
     adding_ok = True
     adding_max_h = 0
     for n in range(1, adding_n_max + 1):
-        w = act_inf(M, "r", w)
-        h = w.h()
+        pre, per = _row_pass(steps, r, pre, per)
+        h = len(pre)
         adding_max_h = max(adding_max_h, h)
         if h > ceil(log2(n + 1)) + 2:
             adding_ok = False

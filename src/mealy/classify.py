@@ -267,6 +267,8 @@ def canonical_keys(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, not {batch_size}")
     N = table_space_size(q, a)
     if cache_dir is None:
         cache_dir = os.environ.get("MEALY_CACHE_DIR")

@@ -265,11 +265,16 @@ def level_cycler(M: Automaton, x: str, m: int, budget: int | None = None) -> Gro
     if u fixes x^k and moves position k, its section at x^{k-m} fixes x^m
     and moves position m.
     """
-    return _level_cycler(M, x, m, budget if budget is not None else max(2 * (m + 1), 8))
+    return _level_cycler(M, x, m, _cycler_budget(m) if budget is None else budget)[0]
+
+
+def _cycler_budget(m: int) -> int:
+    return max(2 * (m + 1), 8)
 
 
 @lru_cache(maxsize=256)
-def _level_cycler(M: Automaton, x: str, m: int, budget: int) -> GroupWord:
+def _level_cycler(M: Automaton, x: str, m: int, budget: int) -> tuple[GroupWord, tuple[int, ...]]:
+    """The level-m cycler and the step-table rows of its section at x^m."""
     u = find_level_witness(M, x, m, budget)
     k = first_divergence(M, u, x)
     if k is None or k < m:
@@ -279,7 +284,9 @@ def _level_cycler(M: Automaton, x: str, m: int, budget: int) -> GroupWord:
         w = group_section(M, u, (x,) * (k - m)).reduce()
         if first_divergence(M, w, x) != m:
             raise AssertionError(f"the level {m} cycler does not diverge at {m}")
-    return w
+    section = _rows(M, w)
+    _run(M.step_table(), section, [M.letter_index(x)] * m)  # the cycler fixes x^m
+    return w, tuple(section)
 
 
 def steer_to(M: Automaton, x: str, s) -> GroupWord:
@@ -289,11 +296,12 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
     cycler's section permutes the letter at position m by a nontrivial power
     of the alphabet cycle, so at most |A| - 1 applications fix it.  The
     image is kept as letter indices, and each application runs the
-    cycler's section at x^m on its tail from position m.  The result is
-    length O(n^2) and is verified by act before returning; AssertionError,
-    raised explicitly so python -O keeps it, when that check or the prefix
-    check at a level fails.  ValueError, naming the level, when |A|
-    applications leave position m unfixed, as on many words over
+    cycler's section at x^m, cached with the cycler, on its tail from
+    position m.  The applied cyclers are joined by one free reduction.  The
+    result is length O(n^2) and is verified by act before returning;
+    AssertionError, raised explicitly so python -O keeps it, when that check
+    or the prefix check at a level fails.  ValueError, naming the level,
+    when |A| applications leave position m unfixed, as on many words over
     dual(div3), whose sections need not cycle the alphabet.
     """
     letters = tuple(s)
@@ -304,9 +312,7 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
     for m in range(len(cur)):
         if cur[m] == xi:
             continue
-        cyc = level_cycler(M, x, m)
-        section = _rows(M, cyc)
-        _run(steps, section, [xi] * m)  # the cycler fixes x^m
+        cyc, section = _level_cycler(M, x, m, _cycler_budget(m))
         for _ in range(p):
             cur[m:] = _run(steps, list(section), cur[m:])
             applied.append(cyc)
@@ -317,7 +323,7 @@ def steer_to(M: Automaton, x: str, s) -> GroupWord:
                              f"letter {x!r} at position {m}")
         if cur[:m + 1] != [xi] * (m + 1):
             raise AssertionError(f"level {m}: the level cycler moved the prefix {x!r}^{m}")
-    total = GroupWord(q for cyc in reversed(applied) for q in cyc).reduce()
+    total = GroupWord._held(tuple(q for cyc in reversed(applied) for q in cyc.letters)).reduce()
     if tuple(act(M, total, letters)) != (x,) * len(letters):
         raise AssertionError("steering self-check failed: act does not map the input to "
                              f"{x!r}^{len(letters)}")

@@ -46,6 +46,13 @@ class GroupWord:
         self.letters = letters
 
     @classmethod
+    def _held(cls, letters: tuple) -> "GroupWord":
+        """A word of letters that GroupWords already hold, so valid; no check."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
+
+    @classmethod
     def parse(cls, text: str) -> "GroupWord":
         """Parse ``a b' c`` (whitespace separated) or ``ab'c`` (single chars)."""
         text = text.strip()
@@ -84,11 +91,11 @@ class GroupWord:
         return cls((str(q), 1) for q in items)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord((q, -s) for q, s in reversed(self.letters))
+        return GroupWord._held(tuple((q, -s) for q, s in reversed(self.letters)))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         # self applied after other: act(self * other, s) = act(self, act(other, s))
-        return GroupWord(self.letters + other.letters)
+        return GroupWord._held(self.letters + other.letters)
 
     def reduce(self) -> "GroupWord":
         """Cancel adjacent q q^{-1} and q^{-1} q pairs; the result is unique."""
@@ -98,7 +105,7 @@ class GroupWord:
                 out.pop()
             else:
                 out.append((q, s))
-        return GroupWord(out)
+        return GroupWord._held(tuple(out))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -145,7 +152,7 @@ def _canonical(preperiod: Sequence, period: Sequence) -> tuple[Sequence, Sequenc
     reduced to its primitive root, then the period start rolled leftward
     while the stream is unchanged.  The roll is counted first and applied
     with one slice of each part, so the cost is linear."""
-    per = _primitive(period)
+    per = _primitive(period) if len(period) > 1 else period
     n, m = len(per), len(preperiod)
     roll = 0
     while roll < m and preperiod[m - 1 - roll] == per[n - 1 - roll % n]:
@@ -172,6 +179,13 @@ class EventuallyPeriodicWord:
         if not per:
             raise ValueError("period must be nonempty")
         self.preperiod, self.period = _canonical(tuple(preperiod), per)
+
+    @classmethod
+    def _of_canonical(cls, preperiod: tuple, period: tuple) -> "EventuallyPeriodicWord":
+        """The word of parts that are already in canonical form; no check."""
+        word = object.__new__(cls)
+        word.preperiod, word.period = preperiod, period
+        return word
 
     @classmethod
     def constant(cls, x: str) -> "EventuallyPeriodicWord":

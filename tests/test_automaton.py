@@ -253,6 +253,41 @@ def test_act_inf_matches_cascade(name):
 
 
 @pytest.mark.parametrize("name", BUILTINS)
+def test_act_inf_images_are_canonical(name):
+    # act_inf builds its image without canonicalizing it again; rebuilding
+    # it through the checking constructor must change nothing
+    M = builtin(name)
+    rng = random.Random(f"canonical-{name}")
+    for _ in range(200):
+        w = GroupWord([(rng.choice(M.states), rng.choice((1, -1)))
+                       for _ in range(rng.randint(0, 8))])
+        pre = [rng.choice(M.alphabet) for _ in range(rng.randint(0, 4))]
+        per = [rng.choice(M.alphabet) for _ in range(rng.randint(1, 4))]
+        img = act_inf(M, w, EventuallyPeriodicWord(pre, per))
+        again = EventuallyPeriodicWord(img.preperiod, img.period)
+        assert (img.preperiod, img.period) == (again.preperiod, again.period), (w, pre, per)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_rows_of_group_words_match_the_parsing_path(name):
+    M = builtin(name)
+    rng = random.Random(f"rows-{name}")
+    for k in range(6):
+        w = GroupWord([(rng.choice(M.states), rng.choice((1, -1))) for _ in range(k)])
+        assert automaton._rows(M, w) == automaton._rows(M, repr(w) if k else ""), w
+
+
+def test_rows_of_group_words_keep_their_errors():
+    with pytest.raises(KeyError, match="unknown state 'z'"):
+        automaton._rows(B, GroupWord([("a", 1), ("z", -1)]))
+    # one state that writes 0 on both letters has no inverse
+    flat = Automaton(["p"], ["0", "1"], [[0, 0]], [[0, 0]])
+    assert automaton._rows(flat, GroupWord([("p", 1)])) == [0]
+    with pytest.raises(ValueError, match="automaton is not invertible"):
+        automaton._rows(flat, GroupWord([("p", 1), ("p", -1)]))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
 def test_one_row_run_matches_level_maps(name):
     # act of one state or inverse state runs _run's one-row path; the level
     # maps come from the table recursion and never call _run

@@ -319,6 +319,13 @@ def test_preperiod_growth_quick():
     assert len(rep.heights) == 300  # one entry per n = 1..n_max
 
 
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 500, 10_000])
+def test_odometer_preperiod_is_the_bit_length(N):
+    # r^n(0 0 0 ...) codes n least significant bit first, so its minimal
+    # preperiod is n.bit_length(), largest at n = N
+    assert preperiod_growth(8, N).adding_max_h == N.bit_length()
+
+
 @pytest.mark.parametrize("n_max, adding_n_max", [(1, 10), (0, 10), (-3, 10), (8, -1)])
 def test_preperiod_growth_refuses_sizes_without_a_slope(n_max, adding_n_max):
     with pytest.raises(ValueError, match="n_max >= 2 and adding_n_max >= 0"):

@@ -327,6 +327,12 @@ def test_jobs_below_one_rejected():
             canonical_keys(2, 2, jobs=jobs)
 
 
+def test_batch_size_below_one_rejected():
+    for batch_size in (0, -5):
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            canonical_keys(2, 2, batch_size=batch_size)
+
+
 def test_table_space_size():
     assert table_space_size(3, 2) == (2 * 9) ** 3
     assert table_space_size(5, 2) == 50**5

@@ -28,7 +28,7 @@ class Automaton:
     """
 
     __slots__ = ("states", "alphabet", "t", "o", "name", "_sidx", "_aidx", "_inv_out", "_steps",
-                 "_row_of", "_hash")
+                 "_row_of", "_key", "_hash")
 
     def __init__(
         self,
@@ -78,6 +78,7 @@ class Automaton:
         self._inv_out = None
         self._steps = None
         self._row_of = None
+        self._key = None
         self._hash = None
 
     # -- basic access ------------------------------------------------------
@@ -141,10 +142,13 @@ class Automaton:
         return self._steps
 
     def table_key(self) -> tuple:
-        return (self.states, self.alphabet, self.t.tobytes(), self.o.tobytes())
+        if self._key is None:
+            self._key = (self.states, self.alphabet, self.t.tobytes(), self.o.tobytes())
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Automaton) and self.table_key() == other.table_key()
+        return self is other or (isinstance(other, Automaton)
+                                 and self.table_key() == other.table_key())
 
     def __hash__(self) -> int:
         if self._hash is None:

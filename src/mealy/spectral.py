@@ -27,14 +27,21 @@ level is solved in full and the gaps along a chain are non-increasing by
 construction.
 
 Fiber matrices are solved dense up to DENSE_CAP rows, one
-scipy.linalg.eigh call per extreme, and by Lanczos (ARPACK) above it,
-with a fixed seeded start vector so that output repeats byte for byte.
-Only scipy's LAPACK and BLAS run: numpy bundles a second OpenBLAS, whose
-threads would compete with scipy's for the same cores.  A fiber matrix
-of fewer than _ONE_THREAD_BELOW rows is solved on one BLAS thread, where
-a second thread mostly spin-waits, and the thread count is put back
-afterwards, also when the solve raises; so below that size a fiber's
-digits no longer depend on the machine's core count.  Larger fibers use
+scipy.linalg.eigh call per extreme, and by Lanczos (ARPACK) above it.
+Lanczos starts warm: from the sum of the level below's two extreme
+eigenvectors, dense or Lanczos, pulled back through the shift that drops
+the first-read letter (each vertex of level k-1 takes the coordinates of
+the vertex of level k-2 named by its last k-2 letters), normalized, plus
+1e-3 times a normalized seeded random vector that keeps every
+eigenvector's component nonzero.  Pulling back through the covering map
+instead, which drops the last letter, saved far fewer iterations.  Every
+start is fixed, so output repeats byte for byte.  Only scipy's LAPACK and
+BLAS run: numpy bundles a second OpenBLAS, whose threads would compete
+with scipy's for the same cores.  A fiber matrix of fewer than
+_ONE_THREAD_BELOW rows is solved on one BLAS thread, where a second
+thread mostly spin-waits, and the thread count is put back afterwards,
+also when the solve raises; so below that size a fiber's digits no
+longer depend on the machine's core count.  Larger fibers use
 scipy's default pool.  The count is set through scipy's OpenBLAS; with
 any other BLAS every fiber runs on that BLAS's default.  Lanczos first
 asks for both extremes at once (k = 2, "BE") with at most _BE_RESTARTS
@@ -70,11 +77,16 @@ DENSE_CAP = 1 << 7
 SPECTRAL_CAP = 1 << 20
 _LANCZOS_TOL = 1e-10
 _FALLBACK_TOL = 1e-6
-# restarts of the k=2 "BE" solve before the split takes over (see _lanczos);
-# the BE solve needs 2-25 restarts on aleshin, div3 and bireversible52 fibers
-# of 256 to 131,072 rows, and bellaterra 27 and 46 at levels 9 and 10, then
-# 97-1,260 at levels 11-15, where the split needs 33-151 for both extremes
-_BE_RESTARTS = 50
+# restarts of the k=2 "BE" solve before the split takes over (see _lanczos).
+# Started warm, BE converged within 16 on every aleshin, div3 and
+# bireversible52 fiber of 256 to 131,072 rows (aleshin's 65,536-row fiber
+# needed 16, bireversible52's 16,384-row one 14), and gave up after 50 on
+# aleshin's 262,144-row fiber; bellaterra needed 15 and 21-22 at 256 and
+# 512 rows and gave up after 50 at 1,024.  16 is the smallest cap under
+# which no chain of aleshin to level 19, bellaterra to 15, div3 to 18,
+# bireversible52 to 17 or adding to 11 does more matvec work (rows x
+# matvecs) than the cold start with a cap of 50 did
+_BE_RESTARTS = 16
 # fibers of fewer rows are solved on one BLAS thread (see _blas_threads); on
 # 2 vCPUs one thread was as fast up to 2^14 rows on aleshin, bellaterra,
 # bireversible52 and div3 fibers at half the CPU, and two threads were
@@ -199,18 +211,35 @@ def _blas_threads(rows: int):
         set_threads(before)
 
 
-def _lanczos(S, split: bool):
-    """Extreme eigenpairs of S by Lanczos from a seeded start vector.
+def _pullback(vecs: np.ndarray, a: int) -> np.ndarray:
+    """The sum of the columns of vecs, fiber vectors of level k, as a fiber
+    vector of level k+1 that is constant along the first-read letter.
 
-    Returns (vals, vecs, tolerance, split).  Unless split is set, one
-    eigsh(k=2, which="BE") runs with at most _BE_RESTARTS restarts; when it
-    gives up, or when split is set, two k=1 solves ("SA", then "LA") run
-    instead, at 1e-10 and then at 1e-6.  split in the result says whether
-    the split ran.  SolverError when neither tolerance converges.
+    A fiber vector holds a-1 Helmert coordinates per vertex v of level k-1.
+    Vertex w of level k maps to v = w // a under the shift, which drops the
+    first-read letter (the least significant digit), and takes v's
+    coordinates.
+    """
+    return np.repeat(vecs.sum(axis=1).reshape(-1, a - 1), a, axis=0).ravel()
+
+
+def _lanczos(S, split: bool, warm: np.ndarray | None):
+    """Extreme eigenpairs of S by Lanczos.
+
+    Returns (vals, vecs, tolerance, split).  The start vector is a seeded
+    random vector, or, given warm, the normalized warm plus 1e-3 times the
+    normalized seeded vector, which keeps every eigenvector's component
+    nonzero.  Unless split is set, one eigsh(k=2, which="BE") runs with at
+    most _BE_RESTARTS restarts; when it gives up, or when split is set, two
+    k=1 solves ("SA", then "LA") run instead, at 1e-10 and then at 1e-6.
+    split in the result says whether the split ran.  SolverError when
+    neither tolerance converges.
     """
     import scipy.sparse.linalg as spl
 
     v0 = np.random.default_rng(0).standard_normal(S.shape[0])
+    if warm is not None:
+        v0 = warm / np.linalg.norm(warm) + 1e-3 * v0 / np.linalg.norm(v0)
     if not split:
         try:
             vals, vecs = spl.eigsh(S, k=2, which="BE", tol=_LANCZOS_TOL, v0=v0,
@@ -228,14 +257,16 @@ def _lanczos(S, split: bool):
     raise SolverError(f"Lanczos did not converge at tolerance {_FALLBACK_TOL:g}") from failure
 
 
-def _extremes(S, split: bool):
+def _extremes(S, split: bool, warm: np.ndarray | None = None):
     """The smallest and the largest eigenvalue of the symmetric sparse S.
 
-    Returns (lo, hi, solver, tolerance, residual, split), the residual being
-    the larger ||Sx - lambda x|| of the two eigenpairs and split saying
-    whether Lanczos ran as two k=1 solves (see _lanczos).  Dense up to
-    DENSE_CAP rows, one scipy.linalg.eigh per extreme; Lanczos above it;
-    one BLAS thread below _ONE_THREAD_BELOW rows (see _blas_threads).
+    Returns (lo, hi, solver, tolerance, residual, split, vecs), the residual
+    being the larger ||Sx - lambda x|| of the two eigenpairs, split saying
+    whether Lanczos ran as two k=1 solves and vecs holding the eigenvectors
+    of lo and hi as columns.  Dense up to DENSE_CAP rows, one
+    scipy.linalg.eigh per extreme; Lanczos above it, started from warm when
+    given (see _lanczos); one BLAS thread below _ONE_THREAD_BELOW rows (see
+    _blas_threads).
     """
     nv = S.shape[0]
     with _blas_threads(nv):
@@ -247,12 +278,12 @@ def _extremes(S, split: bool):
             vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
             solver, tol = "dense", 1e-9
         else:
-            vals, vecs, tol, split = _lanczos(S, split)
+            vals, vecs, tol, split = _lanczos(S, split, warm)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
             solver = "iterative"
     residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
-    return float(vals[0]), float(vals[1]), solver, tol, residual, split
+    return float(vals[0]), float(vals[1]), solver, tol, residual, split, vecs
 
 
 def _check_size(nv: int) -> None:
@@ -269,7 +300,7 @@ def _chain(P: np.ndarray, a: int, n: int):
     significant digit.  lambda_2 and lambda_min become max(lambda_2, fiber
     max) and min(lambda_min, fiber min); lambda_max stays the degree.
     """
-    nq, split = len(P), False
+    nq, split, warm = len(P), False, None
     # single vertex: no lambda_2; the gap is reported as the 2|Q| sentinel
     r = SpectrumReport(0, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, "dense", 0.0,
                        residual=0.0)
@@ -280,10 +311,11 @@ def _chain(P: np.ndarray, a: int, n: int):
         else:
             h = a**k
             try:
-                lo, hi, solver, tol, residual, split = _extremes(
-                    _fiber_matrix(P[:, :h] % h, a), split)
+                lo, hi, solver, tol, residual, split, vecs = _extremes(
+                    _fiber_matrix(P[:, :h] % h, a), split, warm)
             except SolverError as e:
                 raise SolverError(f"level {k}: {e}") from e
+            warm = _pullback(vecs, a)
             # the fiber matrix sums |Q| orthogonal blocks, so rounding alone
             # can carry an extreme past the degree
             lo, hi = max(lo, -nq), min(hi, nq)

@@ -446,3 +446,26 @@ def test_table_properties_match_definition_oracle(q, a):
         seen.add(want)
     # with two or more states, both values of every flag occur
     assert q == 1 or all({f[k] for f in seen} == {False, True} for k in range(5))
+
+
+class _CountingTable(np.ndarray):
+    """A table whose tobytes calls are counted."""
+
+    calls = 0
+
+    def tobytes(self, *args, **kw):
+        _CountingTable.calls += 1
+        return super().tobytes(*args, **kw)
+
+
+def test_table_key_built_once_per_machine(monkeypatch):
+    monkeypatch.setattr(_CountingTable, "calls", 0)
+    X, Y = builtin("aleshin"), builtin("aleshin")
+    X.t = X.t.view(_CountingTable)
+    assert X == X and _CountingTable.calls == 0  # the same object: no key at all
+    # an equal but distinct machine: X's key is built on the first compare only
+    for _ in range(3):
+        assert X == Y and Y == X and hash(X) == hash(Y)
+    assert _CountingTable.calls == 1
+    assert X.table_key() is X.table_key() and X.table_key() == Y.table_key()
+    assert X != builtin("bellaterra") and X != "aleshin"

@@ -271,12 +271,111 @@ def test_lanczos_routes_agree_with_dense_fiber(name, be_gives_up, monkeypatch):
     # BE first (and the split after it where BE gives up), then the split alone
     for split, calls in ((False, ["BE"] + ["SA", "LA"] * be_gives_up), (True, ["SA", "LA"])):
         which.clear()
-        lo, hi, solver, tol, residual, used = spectral._extremes(S, split)
+        lo, hi, solver, tol, residual, used, vecs = spectral._extremes(S, split)
+        assert vecs.shape == (1024, 2)
         assert (which, used) == (calls, "SA" in calls)
         assert (solver, tol) == ("iterative", 1e-10)
         assert residual < 1e-8
         assert lo == pytest.approx(want[0], abs=1e-9)
         assert hi == pytest.approx(want[1], abs=1e-9)
+
+
+# the deepest level whose fiber matrix has at most 2^10 rows: (a-1)*a^(k-1)
+_WARM_LEVELS = {"affine(2,3)": 6, "affine(3,4)": 5}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in BUILTIN_NAMES if n != "affine(k,m)"] + list(_WARM_LEVELS))
+def test_warm_lanczos_finds_the_dense_extremes(name, monkeypatch):
+    # a start vector pulled back from the level below could converge to an
+    # eigenpair that is not extreme; every warm fiber solve must find the
+    # extremes of dense eigvalsh of the same fiber matrix
+    import scipy.linalg
+
+    solved, lanczos = [], spectral._lanczos
+
+    def recorded(S, split, warm=None):
+        vals, vecs, tol, used = lanczos(S, split, warm)
+        solved.append((S, warm is not None, vals))
+        return vals, vecs, tol, used
+
+    monkeypatch.setattr(spectral, "_lanczos", recorded)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 16)
+    M, top = builtin(name), _WARM_LEVELS.get(name, 11)
+    gap_series(M, 0, top)
+    a = M.n_letters
+    rows = [(a - 1) * a ** (k - 1) for k in range(1, top + 1)]
+    assert [S.shape[0] for S, _, _ in solved] == [r for r in rows if r > 16]
+    assert rows[-1] <= 1 << 10
+    for S, warm, vals in solved:
+        assert warm  # the first Lanczos level starts from the dense level below
+        want = scipy.linalg.eigvalsh(S.toarray())
+        assert (vals.min(), vals.max()) == pytest.approx((want[0], want[-1]), abs=1e-9), \
+            S.shape[0]
+
+
+def _eigsh_outcomes(monkeypatch):
+    """Record (which, converged) for every eigsh call."""
+    eigsh, outcomes = spl.eigsh, []
+
+    def recorded(S, **kw):
+        try:
+            out = eigsh(S, **kw)
+        except spl.ArpackNoConvergence:
+            outcomes.append((kw["which"], False))
+            raise
+        outcomes.append((kw["which"], True))
+        return out
+
+    monkeypatch.setattr(spl, "eigsh", recorded)
+    return outcomes
+
+
+def test_chain_pays_for_at_most_one_failed_joint_solve(monkeypatch):
+    outcomes = _eigsh_outcomes(monkeypatch)
+    gap_series(B, 6, 12)
+    # bellaterra's extremes crowd from level 10: at most one BE gives up, no
+    # BE runs after it, and every split converges
+    joint = [ok for w, ok in outcomes if w == "BE"]
+    assert joint.count(False) <= 1 and False not in joint[:-1]
+    assert ("SA", True) in outcomes  # the fiber at level 12 is split
+    assert all(ok for w, ok in outcomes if w != "BE")
+    outcomes.clear()
+    gap_series(builtin("div3"), 14, 16)
+    assert outcomes and set(outcomes) == {("BE", True)}
+
+
+def test_warm_chains_save_lanczos_matvecs(monkeypatch):
+    # the graphs benchmark's chains: warm starts pulled back through the shift
+    # need at most 60% of the matvecs of cold starts with 50 BE restarts
+    eigsh, matvecs = spl.eigsh, [0]
+
+    def counted(S, **kw):
+        def matvec(x):
+            matvecs[0] += 1
+            return S @ x
+
+        return eigsh(spl.LinearOperator(S.shape, matvec=matvec, dtype=S.dtype), **kw)
+
+    def total():
+        matvecs[0] = 0
+        for name, lo, hi in (("aleshin", 6, 12), ("bellaterra", 6, 12), ("div3", 6, 12),
+                             ("div3", 14, 16)):
+            gap_series(builtin(name), lo, hi)
+        return matvecs[0]
+
+    monkeypatch.setattr(spl, "eigsh", counted)
+    warm = total()
+    monkeypatch.setattr(spectral, "_pullback", lambda vecs, a: None)
+    monkeypatch.setattr(spectral, "_BE_RESTARTS", 50)
+    cold = total()
+    assert warm <= 0.6 * cold, (warm, cold)
+
+
+def test_spectrum_is_the_last_series_row():
+    for name, n in (("aleshin", 12), ("bellaterra", 12), ("div3", 10), ("affine(2,3)", 6)):
+        M = builtin(name)
+        assert repr(spectrum(build(M, n))) == repr(gap_series(M, n, n)[-1]), name
 
 
 def test_chain_never_calls_numpy_eigensolvers(monkeypatch):
@@ -357,9 +456,9 @@ def _log_solves(monkeypatch, threads):
         solves.append((A.shape[0], threads()))
         return eigh(A, **kw)
 
-    def iterative(S, split):
+    def iterative(S, split, warm=None):
         solves.append((S.shape[0], threads()))
-        return lanczos(S, split)
+        return lanczos(S, split, warm)
 
     monkeypatch.setattr(scipy.linalg, "eigh", dense)
     monkeypatch.setattr(spectral, "_lanczos", iterative)
@@ -388,7 +487,7 @@ def test_blas_thread_count_restored_after_solver_error(monkeypatch):
     monkeypatch.setattr(spectral, "_openblas_threads", lambda: (fake.set, fake.get))
     monkeypatch.setattr(spectral, "DENSE_CAP", 8)
 
-    def fails(S, split):
+    def fails(S, split, warm=None):
         assert fake.count == 1
         raise spectral.SolverError("no convergence")
 

@@ -37,23 +37,25 @@ eigenvector's component nonzero.  Pulling back through the covering map
 instead, which drops the last letter, saved far fewer iterations.  Every
 start is fixed, so output repeats byte for byte.  Only scipy's LAPACK and
 BLAS run: numpy bundles a second OpenBLAS, whose threads would compete
-with scipy's for the same cores.  A fiber matrix of fewer than
-_ONE_THREAD_BELOW rows is solved on one BLAS thread, where a second
-thread mostly spin-waits, and the thread count is put back afterwards,
-also when the solve raises; so below that size a fiber's digits no
-longer depend on the machine's core count.  Larger fibers use
-scipy's default pool.  The count is set through scipy's OpenBLAS; with
-any other BLAS every fiber runs on that BLAS's default.  Lanczos first
-asks for both extremes at once (k = 2, "BE") with at most _BE_RESTARTS
-restarts.  Where that gives up, as on fibers whose extremes crowd
-together (a cycle's within about 1/nv^2), the two extremes are solved one
-at a time ("SA", then "LA"), and every later level of the chain starts
-with that split.  Lanczos asks for a relative tolerance of 1e-10, and the
-split of 1e-6 where that does not converge; the report's tolerance field
-says which, and SolverError names the level where neither does.  Every
-report carries the largest residual ||Sx - lambda x|| of the eigenpairs
-solved for it.  No graph above SPECTRAL_CAP vertices is solved:
-MemoryError instead, so no accepted size allocates gigabytes.
+with scipy's for the same cores and spin on after their call returns, so
+the eigen path makes no numpy call that reaches BLAS: there is no
+np.linalg call and no np.dot, and norms are plain sums of squares (see
+_norms).  A fiber matrix of fewer than _ONE_THREAD_BELOW rows is solved
+on one BLAS thread, where a second thread mostly spin-waits, and the
+thread count is put back afterwards, also when the solve raises; so below
+that size a fiber's digits do not depend on the machine's core count.
+Larger fibers use scipy's default pool.  The count is set through scipy's
+OpenBLAS; with any other BLAS every fiber runs on that BLAS's default.
+Lanczos first asks for both extremes at once (k = 2, "BE") with at most
+_BE_RESTARTS restarts.  Where that gives up, as on fibers whose extremes
+crowd together (a cycle's within about 1/nv^2), the two extremes are
+solved one at a time ("SA", then "LA"), and every later level of the
+chain starts with that split.  Lanczos asks for a relative tolerance of
+1e-10, and the split of 1e-6 where that does not converge; the report's
+tolerance field says which, and SolverError names the level where neither
+does.  Every report carries the largest residual ||Sx - lambda x|| of the
+eigenpairs solved for it.  No graph above SPECTRAL_CAP vertices is
+solved: MemoryError instead, so no accepted size allocates gigabytes.
 """
 
 from __future__ import annotations
@@ -87,11 +89,19 @@ _FALLBACK_TOL = 1e-6
 # bireversible52 to 17 or adding to 11 does more matvec work (rows x
 # matvecs) than the cold start with a cap of 50 did
 _BE_RESTARTS = 16
-# fibers of fewer rows are solved on one BLAS thread (see _blas_threads); on
-# 2 vCPUs one thread was as fast up to 2^14 rows on aleshin, bellaterra,
-# bireversible52 and div3 fibers at half the CPU, and two threads were
-# 11-18% faster at 2^15 rows and 11-52% faster at 2^16 to 2^19
-_ONE_THREAD_BELOW = 1 << 15
+# fibers of fewer rows are solved on one BLAS thread (see _blas_threads).
+# One warm fiber solve of the chain on 2 vCPUs, median of 4-6 alternating
+# runs: wall seconds on one / on two threads, and in parentheses the CPU
+# seconds of two threads, their spin after returning included (one thread
+# does not spin, so its CPU is its wall):
+#   rows  div3             aleshin          bireversible52   bellaterra (split)
+#   2^14  .029/.046 (.17)  .072/.161 (.28)  .110/.193 (.31)  .69/.66 (1.36)
+#   2^15  .071/.075 (.26)  .095/.088 (.29)  .098/.091 (.29)  .89/.74 (1.58)
+#   2^16  .144/.122 (.35)  .47/.39 (.87)    .27/.26 (.62)    3.2/2.4 (4.9)
+# Below 2^16 rows a second thread gains at most 8% on the joint solves, at
+# three times the CPU; bellaterra's split solve gains 18% at 2^15, at 1.8
+# times the CPU.  From 2^16 rows two threads are 3-25% faster everywhere
+_ONE_THREAD_BELOW = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -223,6 +233,15 @@ def _pullback(vecs: np.ndarray, a: int) -> np.ndarray:
     return np.repeat(vecs.sum(axis=1).reshape(-1, a - 1), a, axis=0).ravel()
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of x (of x itself when 1-D).
+
+    A plain sum of squares: np.linalg.norm of a vector calls numpy's own
+    BLAS (ddot), which is not the BLAS whose threads _blas_threads counts.
+    """
+    return np.sqrt(np.square(x).sum(axis=0))
+
+
 def _lanczos(S, split: bool, warm: np.ndarray | None):
     """Extreme eigenpairs of S by Lanczos.
 
@@ -239,7 +258,11 @@ def _lanczos(S, split: bool, warm: np.ndarray | None):
 
     v0 = np.random.default_rng(0).standard_normal(S.shape[0])
     if warm is not None:
-        v0 = warm / np.linalg.norm(warm) + 1e-3 * v0 / np.linalg.norm(v0)
+        v0 = warm / _norms(warm) + 1e-3 * v0 / _norms(v0)
+    # S itself would reach ARPACK through aslinearoperator, whose matvec goes
+    # through matmat and dot: 15.4 us a product on a 2,048-row div3 fiber,
+    # against 12.0 us for this operator, with equal results
+    S = spl.LinearOperator(S.shape, matvec=S.__matmul__, dtype=S.dtype)
     if not split:
         try:
             vals, vecs = spl.eigsh(S, k=2, which="BE", tol=_LANCZOS_TOL, v0=v0,
@@ -282,7 +305,7 @@ def _extremes(S, split: bool, warm: np.ndarray | None = None):
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
             solver = "iterative"
-    residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
+    residual = float(_norms(S @ vecs - vecs * vals).max())
     return float(vals[0]), float(vals[1]), solver, tol, residual, split, vecs
 
 

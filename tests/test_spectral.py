@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import math
 
@@ -379,14 +380,16 @@ def test_spectrum_is_the_last_series_row():
 
 
 def test_chain_never_calls_numpy_eigensolvers(monkeypatch):
-    # one LAPACK, scipy's: numpy's eigh would wake a second BLAS thread pool
+    # one BLAS, scipy's: numpy's eigh, or a norm or product that reaches
+    # numpy's bundled OpenBLAS, would wake a second BLAS thread pool
     rows = [repr(dataclasses.astuple(r)) for r in gap_series(A, 0, 12)]
 
     def forbidden(*args, **kw):
-        raise AssertionError("numpy.linalg eigensolver called")
+        raise AssertionError("numpy BLAS or LAPACK called")
 
-    monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "norm"),
+                         (np, "dot"), (np, "vdot"), (np, "inner")):
+        monkeypatch.setattr(module, name, forbidden)
     series = gap_series(A, 0, 12)
     assert {r.solver for r in series} == {"dense", "iterative"}
     assert [repr(dataclasses.astuple(r)) for r in series] == rows
@@ -499,14 +502,15 @@ def test_blas_thread_count_restored_after_solver_error(monkeypatch):
 
 
 def test_one_thread_rows_match_the_default_pool(monkeypatch):
-    # every fiber of levels 1..13 is below the cut: the rows printed on one
-    # BLAS thread are those of a run that leaves the thread count alone
-    for name in ("aleshin", "bellaterra", "div3"):
+    # every fiber of levels 1..16 of a binary machine (up to 2^15 rows) is
+    # below the cut: the rows printed on one BLAS thread are those of a run
+    # that leaves the thread count alone
+    for name, n in (("aleshin", 13), ("bellaterra", 13), ("div3", 16)):
         M = builtin(name)
-        one = [r.csv_row() for r in gap_series(M, 1, 13)]
+        one = [r.csv_row() for r in gap_series(M, 1, n)]
         with monkeypatch.context() as m:
             m.setattr(spectral, "_openblas_threads", lambda: None)
-            assert [r.csv_row() for r in gap_series(M, 1, 13)] == one, name
+            assert [r.csv_row() for r in gap_series(M, 1, n)] == one, name
 
 
 def test_real_blas_thread_count_comes_back(monkeypatch):
@@ -516,6 +520,34 @@ def test_real_blas_thread_count_comes_back(monkeypatch):
     get_threads = pair[1]
     before = get_threads()
     solves = _log_solves(monkeypatch, get_threads)
-    gap_series(builtin("div3"), 1, 12)
+    gap_series(builtin("div3"), 1, 16)  # fibers of 1 to 2^15 rows
     assert get_threads() == before
+    assert max(rows for rows, _ in solves) == 1 << 15
     assert solves and all(count == 1 for _, count in solves)
+
+
+def test_digits_do_not_depend_on_numpys_blas_threads():
+    # below the cut a fiber's digits do not depend on the core count, also
+    # when numpy's bundled OpenBLAS (apart from scipy's) runs more threads
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    lib = ctypes.CDLL(umath.__file__)
+    try:
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        pytest.skip("numpy's BLAS is not scipy-openblas64")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    before = get_threads()
+    rows = {}
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            if get_threads() != count:
+                pytest.skip(f"numpy's OpenBLAS does not take {count} threads here")
+            rows[count] = [repr(dataclasses.astuple(r)) for name in
+                           ("div3", "aleshin", "bireversible52")
+                           for r in gap_series(builtin(name), 14, 15)]
+    finally:
+        set_threads(before)
+    assert len(rows[1]) == 6 and rows[1] == rows[2]

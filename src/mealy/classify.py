@@ -35,7 +35,7 @@ from .automaton import (
     properties,
 )
 from .levels import _refute_dual, _split
-from .transitivity import Verdict, char_rational, cotransitivity, is_transitive_exact
+from .transitivity import Verdict, _series_verdict, char_rational, is_transitive_exact
 
 CANON_MAX_STATES = 6
 CANON_MAX_LETTERS = 4
@@ -447,7 +447,7 @@ def classify_cotransitive(
     for r in np.flatnonzero(level == 0).tolist():
         M = from_canonical(_key_bytes(keys[idx[r]], q, a), name=f"c{q}{a}-{idx[r]}")
         if cocyclic[r]:
-            v = cotransitivity(M, level_budget)
+            v = _series_verdict(M)
             decided_by = "chi"
         else:
             conj = conjugation_decide(M)

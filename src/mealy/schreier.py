@@ -51,46 +51,32 @@ def _generator_rows(G: SchreierGraph) -> list[np.ndarray]:
     return list(rows.values())
 
 
-def distances(G: SchreierGraph, source: int) -> np.ndarray:
-    """BFS distances from a vertex, edges undirected; -1 marks unreachable."""
-    nv = G.n_vertices
-    if not (0 <= source < nv):
-        raise ValueError("source out of range")
-    rows = _generator_rows(G)
-    dist = np.full(nv, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=G.perms.dtype)
-    d = 0
-    while len(frontier):
-        d += 1
-        nxt = np.concatenate([p[frontier] for p in rows])
-        nxt = np.unique(nxt[dist[nxt] < 0])
-        dist[nxt] = d
-        frontier = nxt
-    return dist
-
-
 def eccentricity(G: SchreierGraph, source: int) -> int:
-    d = distances(G, source)
-    if (d < 0).any():
-        raise ValueError("graph is disconnected")
-    return int(d.max())
+    """Greatest distance from a vertex, edges undirected."""
+    if not (0 <= source < G.n_vertices):
+        raise ValueError("source out of range")
+    return _bfs_pass(_generator_rows(G), [source])
 
 
 _PASS_SOURCES = 4096  # BFS sources per pass: 64 uint64 lane words per vertex
-_LANE = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
-def _bfs_pass(rows: list[np.ndarray], first: int, k: int) -> int:
-    """Deepest BFS from sources first..first+k-1, one bit lane per source
-    (MS-BFS, Then et al. 2014): bit s of F[v] says v is on the frontier of
-    source s, and as rows holds each map and its inverse, the OR of F[p]
-    over the rows p collects the frontier bits of every neighbour."""
+def _bfs_pass(rows: list[np.ndarray], sources) -> int:
+    """Deepest BFS from the distinct vertices sources, one bit lane per
+    source (MS-BFS, Then et al. 2014): bit s of F[v] says v is on the
+    frontier of source s, and as rows holds each map and its inverse, the
+    OR of F[p] over the rows p collects the frontier bits of every
+    neighbour.  A lane word is the narrowest of 8, 16 and 32 bits that
+    holds all the sources, so a pass from a few sources stays small, and
+    64 bits above 32 sources."""
+    k = len(sources)
+    bits = next((b for b in (8, 16, 32) if k <= b), 64)
+    word = np.dtype(f"uint{bits}")
     lanes = np.arange(k)
-    frontier = np.zeros((len(rows[0]), (k + 63) // 64), dtype=np.uint64)
-    frontier[first + lanes, lanes // 64] = _LANE[lanes % 64]
-    unreached = np.full_like(frontier, ~np.uint64(0))
-    unreached[:, -1] >>= np.uint64(-k % 64)  # no lanes past the k sources
+    frontier = np.zeros((len(rows[0]), -(-k // bits)), dtype=word)
+    frontier[sources, lanes // bits] = np.ones(k, word) << (lanes % bits).astype(word)
+    unreached = np.full_like(frontier, np.iinfo(word).max)
+    unreached[:, -1] >>= word.type(-k % bits)  # no lanes past the k sources
     unreached ^= frontier
     gathered = np.empty_like(frontier)
     depth = -1
@@ -112,25 +98,27 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
 
     Exact: a bit-parallel all-pairs BFS, 64 sources per machine word, for
     graphs of up to EXACT_DIAMETER_CAP vertices (MemoryError above it).
-    Bounds: lower = max eccentricity over sampled sources, upper = twice the
-    eccentricity of the constant word x^n (vertex 0), by the triangle
-    inequality through x^n.
+    Bounds: lower = max eccentricity over x^n (vertex 0) and up to `sample`
+    seeded random vertices, in one pass; upper = twice the eccentricity of
+    x^n, by the triangle inequality through x^n.
     """
     nv = G.n_vertices
     if mode == "exact":
         if nv > EXACT_DIAMETER_CAP:
             raise MemoryError(f"{nv} vertices above the exact cap")
         rows = _generator_rows(G)
-        return max(_bfs_pass(rows, s, min(_PASS_SOURCES, nv - s))
+        return max(_bfs_pass(rows, np.arange(s, min(s + _PASS_SOURCES, nv)))
                    for s in range(0, nv, _PASS_SOURCES))
     if mode != "bound":
         raise ValueError("mode must be 'exact' or 'bound'")
+    if sample < 0:
+        raise ValueError(f"sample must be at least 0, not {sample}")
     rng = np.random.default_rng(seed)
     sources = {0}
     if nv > 1:
         sources |= {int(v) for v in rng.integers(0, nv, size=min(sample, nv))}
-    ecc = {v: eccentricity(G, v) for v in sources}
-    return (max(ecc.values()), 2 * ecc[0])
+    rows = _generator_rows(G)
+    return (_bfs_pass(rows, sorted(sources)), 2 * _bfs_pass(rows, [0]))
 
 
 # -- implicit word walks ------------------------------------------------------

@@ -242,12 +242,7 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     if not M.is_invertible():
         raise ValueError("cotransitivity assumes an invertible automaton")
     if properties(M).cocyclic:
-        D = dual(M)
-        bad = dict(zip(D.states, _first_bad_levels(D)))
-        for x, n in bad.items():
-            if n is None:
-                return Verdict("yes", witness=x, evidence={"exact": True})
-        return Verdict("no", level=max(bad.values()), evidence={"first_bad_level": bad, "exact": True})
+        return _series_verdict(M)
     fail = _refute_dual(M.t[None], M.o[None], level_budget)[0].tolist()
     # dual states in the order they fell, level by level
     evidence = {M.alphabet[x]: n for n, x in sorted((n, x) for x, n in enumerate(fail) if n)}
@@ -259,6 +254,17 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     if top < level_budget:
         evidence["capped_at"] = top
     return Verdict("unknown", level=top, evidence=evidence)
+
+
+def _series_verdict(M: Automaton) -> Verdict:
+    """The exact verdict for a cocyclic M: the characteristic-series
+    criterion on each dual state, the first transitive one the witness."""
+    D = dual(M)
+    bad = dict(zip(D.states, _first_bad_levels(D)))
+    for x, n in bad.items():
+        if n is None:
+            return Verdict("yes", witness=x, evidence={"exact": True})
+    return Verdict("no", level=max(bad.values()), evidence={"first_bad_level": bad, "exact": True})
 
 
 # -- stabilization of x^infinity ----------------------------------------------

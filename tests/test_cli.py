@@ -218,7 +218,11 @@ def test_manifest_wall_time_survives_clock_step(tmp_path, monkeypatch):
 def test_diameter_bound_mode(capsys):
     assert run(["diameter", "--builtin", "aleshin", "--from", "3", "--to", "3",
                 "--mode", "bound", "--seed", "7"]) == 0
-    assert capsys.readouterr().out.strip()
+    assert capsys.readouterr().out == "n,lower,upper\n3,2,4\n"
+    assert run(["diameter", "--builtin", "bellaterra", "--from", "12", "--to", "16",
+                "--mode", "bound"]) == 0
+    assert capsys.readouterr().out == ("n,lower,upper\n12,14,28\n13,16,30\n14,17,34\n"
+                                       "15,18,36\n16,19,38\n")
 
 
 def test_schreier_dot_export(tmp_path):

@@ -20,7 +20,6 @@ from mealy.schreier import (
     ball_size,
     build,
     diameter,
-    distances,
     eccentricity,
     find_level_witness,
     first_divergence,
@@ -49,29 +48,36 @@ def test_build_requires_invertible():
         build(M, 3)
 
 
-def test_distances_against_direct_bfs():
-    G = build(B, 6)
-    d = distances(G, 0)
-    # reference BFS over the undirected generator edges
-    adj = [set() for _ in range(G.n_vertices)]
-    for row in G.perms:
-        for v in range(G.n_vertices):
-            adj[v].add(int(row[v]))
-            adj[int(row[v])].add(v)
-    ref = np.full(G.n_vertices, -1)
-    ref[0] = 0
-    frontier = [0]
+def _reference_distances(G, source):
+    """Plain BFS over the undirected generator edges; -1 marks unreachable."""
+    nbrs = [row.tolist() for p in G.perms for row in (p, np.argsort(p))]
+    ref = [-1] * G.n_vertices
+    ref[source] = 0
+    frontier = [source]
     r = 0
     while frontier:
         r += 1
         nxt = []
         for v in frontier:
-            for u in adj[v]:
+            for row in nbrs:
+                u = row[v]
                 if ref[u] < 0:
                     ref[u] = r
                     nxt.append(u)
         frontier = nxt
-    assert np.array_equal(d, ref)
+    return np.array(ref)
+
+
+def _reference_eccentricity(G, source):
+    """The reference BFS's greatest distance; None when the graph is disconnected."""
+    d = _reference_distances(G, source)
+    return None if (d < 0).any() else int(d.max())
+
+
+def test_eccentricity_against_reference_bfs():
+    G = build(B, 6)
+    for v in range(G.n_vertices):
+        assert eccentricity(G, v) == _reference_distances(G, v).max()
 
 
 def test_diameter_series_pinned():
@@ -98,22 +104,45 @@ def _random_levels(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_levels(), st.sampled_from([schreier._PASS_SOURCES, 64, 37]))
+@given(_random_levels(), st.sampled_from([schreier._PASS_SOURCES, 64, 37, 9, 5]))
 def test_diameter_matches_eccentricity_oracle(machine, pass_sources):
     # 3^n vertices fill no whole 64-lane word; a small pass size splits the
-    # sources into several passes with a partial last one
+    # sources into several passes with a partial last one, on 8-bit lanes
+    # below 9 sources
     M, n = machine
     G = build(M, n)
+    ecc = [_reference_eccentricity(G, v) for v in range(G.n_vertices)]
     with mock.patch.object(schreier, "_PASS_SOURCES", pass_sources):
-        try:
-            want = max(eccentricity(G, v) for v in range(G.n_vertices))
-        except ValueError:
+        if None in ecc:
             with pytest.raises(ValueError, match="disconnected"):
                 diameter(G)
         else:
-            assert diameter(G) == want
+            assert diameter(G) == max(ecc)
     if n == 0:
         assert diameter(G) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_random_levels(), st.sampled_from([1, 16, 40]), st.integers(0, 3))
+def test_diameter_bounds_match_reference_eccentricities(machine, sample, seed):
+    # 1, 16 and 40 samples plus x^n run on 8-, 32- and 64-bit lanes
+    M, n = machine
+    G = build(M, n)
+    sources = {0}
+    if G.n_vertices > 1:
+        rng = np.random.default_rng(seed)
+        sources |= set(rng.integers(0, G.n_vertices, size=min(sample, G.n_vertices)).tolist())
+    ecc = [_reference_eccentricity(G, v) for v in sorted(sources)]
+    if None in ecc:
+        with pytest.raises(ValueError, match="disconnected"):
+            diameter(G, "bound", sample, seed)
+    else:
+        assert diameter(G, "bound", sample, seed) == (max(ecc), 2 * ecc[0])
+
+
+def test_diameter_bound_rejects_negative_sample():
+    with pytest.raises(ValueError, match="sample"):
+        diameter(build(B, 3), "bound", sample=-1)
 
 
 def test_diameter_trivial_and_disconnected():

@@ -51,17 +51,13 @@ class Automaton:
         if isinstance(transition, Mapping):
             t = np.empty((nq, na), dtype=np.int64)
             o = np.empty((nq, na), dtype=np.int64)
-            seen = set()
             for (q, x), r in transition.items():
                 t[self._sidx[q], self._aidx[x]] = self._sidx[r]
-                seen.add((q, x))
-            if len(seen) != nq * na:
+            if len(transition) != nq * na:
                 raise ValueError("transition table is not total")
-            seen = set()
             for (q, x), y in output.items():
                 o[self._sidx[q], self._aidx[x]] = self._aidx[y]
-                seen.add((q, x))
-            if len(seen) != nq * na:
+            if len(output) != nq * na:
                 raise ValueError("output table is not total")
         else:
             t = np.asarray(transition, dtype=np.int64).reshape(nq, na).copy()

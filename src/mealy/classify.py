@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
@@ -291,7 +293,14 @@ def canonical_keys(
         uniq = _unique_rows(np.concatenate([w for r in ranges for w in r]))
         if path:
             os.makedirs(cache_dir, exist_ok=True)
-            np.save(path, uniq)
+            # saved beside path, then renamed: a stopped run leaves no partial batch
+            tmp = f"{path[:-4]}.{os.getpid()}-{threading.get_ident()}.tmp.npy"
+            try:
+                np.save(tmp, uniq)
+                os.replace(tmp, path)
+            finally:
+                with suppress(FileNotFoundError):
+                    os.remove(tmp)
         parts.append(uniq)
     return _unique_rows(np.concatenate(parts))
 

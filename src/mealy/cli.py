@@ -29,7 +29,7 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, table_space_size
-from .levels import LEVEL_CAP, _levels, _oversize, _top_level, is_single_cycle
+from .levels import LEVEL_CAP, _levels, _oversize, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, SolverError, gap_series
 from .transitivity import cotransitivity, first_intransitive_level
@@ -86,10 +86,7 @@ def _load(args: argparse.Namespace) -> Automaton:
     if args.builtin and args.file:
         raise UsageError("give either --builtin or --file, not both")
     if args.builtin:
-        try:
-            return builtin(args.builtin)
-        except KeyError as e:
-            raise UsageError(e.args[0]) from None
+        return builtin(args.builtin)
     if args.file:
         try:
             with open(args.file) as fh:
@@ -188,15 +185,14 @@ def _cmd_transitive(args, started):
         else:
             print(f"{args.state}: not transitive, first failing level {lvl} (exact)")
         return 0
-    top = _top_level(M.t.shape, args.levels, LEVEL_CAP)
     # level 0 is one point, so the search fails first at level 1 or later;
-    # _levels refuses --levels below 0 (top is 0 then)
-    for n, P in enumerate(_levels(M, min(top, args.levels), LEVEL_CAP)):
+    # _levels refuses --levels below 0 and stops at the level caps
+    for n, P in enumerate(_levels(M, args.levels, LEVEL_CAP)):
         if not is_single_cycle(P[qi]):
             print(f"{args.state}: not transitive, first failing level {n} (orbit check)")
             return 0
-    capped = ", the highest the level caps allow" if top < args.levels else ""
-    print(f"{args.state}: transitive up to level {top}{capped} (no exact criterion; unknown beyond)")
+    capped = ", the highest the level caps allow" if n < args.levels else ""
+    print(f"{args.state}: transitive up to level {n}{capped} (no exact criterion; unknown beyond)")
     return 0
 
 
@@ -271,15 +267,14 @@ def _cmd_verify(args, started):
         a = aleshin_relation_check(args.level)
         all_ok &= _check_line(f"sister relation (n={args.level})", a.holds and a.even_path_ok)
         return 0 if all_ok else 1
-    if args.target == "preperiod":
-        rep = preperiod_growth(args.n, args.adding_n)
-        in_band = 0.57 <= rep.slope <= 0.70
-        if args.csv:
-            _write(args.csv, _heights(rep.heights), args, started)
-        _check_line(f"slope {rep.slope:.4f} in [0.57, 0.70]", in_band)
-        _check_line("adding machine height bound", rep.adding_ok)
-        return 0 if in_band and rep.adding_ok else 1
-    raise UsageError(f"unknown verify target {args.target!r}")
+    # argparse's choices leave "preperiod" as the only other target
+    rep = preperiod_growth(args.n, args.adding_n)
+    in_band = 0.57 <= rep.slope <= 0.70
+    if args.csv:
+        _write(args.csv, _heights(rep.heights), args, started)
+    _check_line(f"slope {rep.slope:.4f} in [0.57, 0.70]", in_band)
+    _check_line("adding machine height bound", rep.adding_ok)
+    return 0 if in_band and rep.adding_ok else 1
 
 
 def _cmd_growth(args, started):

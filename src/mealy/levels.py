@@ -159,12 +159,12 @@ def _oversize(shape: tuple[int, int], n: int, cap: int) -> str | None:
 
 
 def _levels(M: Automaton, n: int, cap: int):
-    """Level maps for levels 0..n in turn, each built from the one before.
+    """Level maps for levels 0..min(n, top) in turn, each built from the one
+    before, top being the highest level the caps allow; a search reads the
+    level it reached from the last one yielded.
 
-    Every level uses the dtype of the highest level the caps allow.  Only
-    the level being built and the one before it are held here.  ValueError
-    for n below 0.  A level _oversize refuses raises MemoryError only when
-    it is asked for, so a verdict a search reaches below the caps stands.
+    Every level uses the dtype of the top level.  Only the level being built
+    and the one before it are held here.  ValueError for n below 0.
     """
     if n < 0:
         raise ValueError(f"level {n} is below 0")
@@ -176,8 +176,6 @@ def _levels(M: Automaton, n: int, cap: int):
     for _ in range(top):
         P = _level_step(o, t, P)
         yield P[0]
-    if top < n:
-        raise MemoryError(_oversize(M.t.shape, top + 1, cap))
 
 
 def _level_step(o: np.ndarray, t: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ class SchreierGraph:
     def __init__(self, M: Automaton, n: int, perms: np.ndarray):
         self.M = M
         self.n = n
-        self.n_vertices = perms.shape[1] if perms.ndim == 2 else 1
+        self.n_vertices = perms.shape[1]
         self.perms = perms
 
     def __repr__(self) -> str:
@@ -46,9 +46,13 @@ def build(M: Automaton, n: int, cap: int = LEVEL_CAP) -> SchreierGraph:
 
 
 def _generator_rows(G: SchreierGraph) -> list[np.ndarray]:
-    """Each generator map and its inverse; an involution's row appears once."""
-    rows = {r.tobytes(): r for p in G.perms for r in (p, invert_perm(p))}
-    return list(rows.values())
+    """Each generator map and its inverse, an involution's once; no byte copies."""
+    rows = []
+    for p in G.perms:
+        for r in (p, invert_perm(p)):
+            if not any(np.array_equal(r, kept) for kept in rows):
+                rows.append(r)
+    return rows
 
 
 def eccentricity(G: SchreierGraph, source: int) -> int:
@@ -59,6 +63,7 @@ def eccentricity(G: SchreierGraph, source: int) -> int:
 
 
 _PASS_SOURCES = 4096  # BFS sources per pass: 64 uint64 lane words per vertex
+_GATHER = 1 << 16  # vertices per np.take, which copies its int32 map to intp
 
 
 def _bfs_pass(rows: list[np.ndarray], sources) -> int:
@@ -78,16 +83,20 @@ def _bfs_pass(rows: list[np.ndarray], sources) -> int:
     unreached = np.full_like(frontier, np.iinfo(word).max)
     unreached[:, -1] >>= word.type(-k % bits)  # no lanes past the k sources
     unreached ^= frontier
-    gathered = np.empty_like(frontier)
+    # two frontiers in turn: a level allocates nothing of the graph's size
+    new, gathered = np.empty_like(frontier), np.empty_like(frontier[:_GATHER])
     depth = -1
     while frontier.any():
         depth += 1
-        new = np.take(frontier, rows[0], axis=0)
-        for p in rows[1:]:  # mode="raise" would copy out= to a temporary
-            new |= np.take(frontier, p, axis=0, out=gathered, mode="clip")
+        for lo in range(0, len(new), _GATHER):
+            part, hi = new[lo:lo + _GATHER], lo + _GATHER
+            # mode="raise" would copy out= to a temporary
+            np.take(frontier, rows[0][lo:hi], axis=0, out=part, mode="clip")
+            for p in rows[1:]:
+                part |= np.take(frontier, p[lo:hi], axis=0, out=gathered[:len(part)], mode="clip")
         new &= unreached
         unreached ^= new
-        frontier = new
+        frontier, new = new, frontier
     if unreached.any():
         raise ValueError("graph is disconnected")
     return depth

@@ -156,11 +156,6 @@ def _sparse_adjacency(cols: np.ndarray, blocks):
     return ((A + A.T) * 0.5).tocsr().sorted_indices()
 
 
-def adjacency(G: SchreierGraph) -> np.ndarray:
-    """Dense adjacency matrix with one unit per state edge, symmetrized as (A+A^T)/2."""
-    return _sparse_adjacency(G.perms, np.ones((1, 1))).toarray()
-
-
 def _fiber_matrix(P: np.ndarray, a: int):
     """Symmetrized fiber matrix of level k-1 from the level-k map P.
 
@@ -383,7 +378,7 @@ def gap_series(M: Automaton, n_min: int, n_max: int) -> list[SpectrumReport]:
         raise ValueError("Schreier graphs need an invertible automaton")
     # capping the exponent keeps a huge n_max from computing a huge a**n_max
     _check_size(M.n_letters ** min(n_max, 64))
-    P = level_maps(M, n_max, SPECTRAL_CAP)
+    P = level_maps(M, n_max)
     return list(_chain(P, M.n_letters, n_max))[n_min:]
 
 

@@ -46,9 +46,6 @@ class OrbitReport:
     def max_orbit(self) -> int:
         return max(self.sizes) if self.sizes else 0
 
-    def csv_row(self) -> str:
-        return f"{self.level},{self.orbit_count()},{self.max_orbit()},{str(self.transitive).lower()}"
-
     def __repr__(self) -> str:
         return (
             f"OrbitReport(level={self.level}, orbits={self.orbit_count()}, "

@@ -68,6 +68,23 @@ def test_no_unused_imports_in_library():
     assert unused == []
 
 
+def test_no_dead_private_helpers_in_library():
+    # a module-level _name function or class that nothing in the library
+    # names, outside its own body, is dead: delete it with its last caller
+    private, named = {}, set()
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                private[own] = f"{path.name}:{stmt.lineno} {own}"
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    named.add(name)
+    assert len(private) > 90
+    assert [where for name, where in private.items() if name not in named] == []
+
+
 def test_only_the_cli_opens_files_for_writing():
     # every output file and its manifest go through cli._write
     writers = []

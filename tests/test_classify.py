@@ -245,6 +245,27 @@ def test_key_cache_is_read_back(tmp_path, monkeypatch):
     assert again.dtype == want.dtype and (again == want).all()
 
 
+def test_key_cache_batch_is_written_atomically(tmp_path, monkeypatch):
+    # a save stopped half way leaves no cache file behind, so a rerun
+    # computes the batch again instead of failing to read a partial one
+    save = np.save
+
+    def stopped(file, arr):
+        with open(file, "wb") as fh:
+            fh.write(b"\x93NUMPY" + b"\0" * 100)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "save", stopped)
+    with pytest.raises(KeyboardInterrupt):
+        canonical_keys(3, 2, cache_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(np, "save", save)
+    assert (canonical_keys(3, 2, cache_dir=str(tmp_path)) == canonical_keys(3, 2)).all()
+    again = canonical_keys(3, 2, cache_dir=str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == [f"canon-be8-3x2-{1 << 20}-0.npy"]
+    assert (again == canonical_keys(3, 2)).all()
+
+
 def test_key_cache_ignores_int64_files(tmp_path, monkeypatch):
     # the name the int64 encoding used; its content must never be read
     (tmp_path / f"canon-3x2-{1 << 20}-0.npy").write_bytes(b"not keys")

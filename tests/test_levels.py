@@ -364,11 +364,8 @@ def test_array_cap_bounds_every_row_together(monkeypatch):
         level_maps(B, 9)
     with pytest.raises(MemoryError):
         all_level_maps(B, 9)
-    # a search gets every level below the cap before it is refused
-    got = []
-    with pytest.raises(MemoryError, match=r"2\^9"):
-        for P in levels._levels(B, 12, LEVEL_CAP):
-            got.append(P.shape[1])
+    # a search gets levels 0..8 and stops
+    got = [P.shape[1] for P in levels._levels(B, 12, LEVEL_CAP)]
     assert got == [2**k for k in range(9)]
 
 

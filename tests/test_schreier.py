@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mealy import schreier
-from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin, dual
+from mealy.automaton import BUILTIN_NAMES, Automaton, act, act_inf, builtin, dual, union
 from mealy.levels import index_word, level_permutation, word_index
 from mealy.schreier import (
     EXACT_DIAMETER_CAP,
@@ -38,6 +38,20 @@ def test_build_shapes():
     G = build(B, 5)
     assert G.n_vertices == 32
     assert G.perms.shape == (3, 32)
+
+
+def test_generator_rows_drop_repeats():
+    # bellaterra's three generators are involutions: each map is its own
+    # inverse, so level 6 gives exactly its 3 maps; union(B, B) repeats them.
+    # Aleshin has no involution; the adding machine's identity state i is one
+    for M, n, count in ((B, 6, 3), (union(B, B), 6, 3), (A, 6, 6), (builtin("adding"), 5, 3)):
+        G = build(M, n)
+        rows = schreier._generator_rows(G)
+        oracle = {tuple(p) for p in G.perms} | {tuple(np.argsort(p)) for p in G.perms}
+        assert len(rows) == len(oracle) == count
+        assert {tuple(r) for r in rows} == oracle
+    G = build(B, 6)
+    assert all(np.array_equal(r, p) for r, p in zip(schreier._generator_rows(G), G.perms))
 
 
 def test_build_requires_invertible():
@@ -104,15 +118,18 @@ def _random_levels(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_random_levels(), st.sampled_from([schreier._PASS_SOURCES, 64, 37, 9, 5]))
-def test_diameter_matches_eccentricity_oracle(machine, pass_sources):
+@given(_random_levels(), st.sampled_from([schreier._PASS_SOURCES, 64, 37, 9, 5]),
+       st.sampled_from([schreier._GATHER, 100, 7, 1]))
+def test_diameter_matches_eccentricity_oracle(machine, pass_sources, gather):
     # 3^n vertices fill no whole 64-lane word; a small pass size splits the
     # sources into several passes with a partial last one, on 8-bit lanes
-    # below 9 sources
+    # below 9 sources; a small gather size splits each level's gathers the
+    # same way
     M, n = machine
     G = build(M, n)
     ecc = [_reference_eccentricity(G, v) for v in range(G.n_vertices)]
-    with mock.patch.object(schreier, "_PASS_SOURCES", pass_sources):
+    with mock.patch.object(schreier, "_PASS_SOURCES", pass_sources), \
+            mock.patch.object(schreier, "_GATHER", gather):
         if None in ecc:
             with pytest.raises(ValueError, match="disconnected"):
                 diameter(G)
@@ -123,8 +140,9 @@ def test_diameter_matches_eccentricity_oracle(machine, pass_sources):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_random_levels(), st.sampled_from([1, 16, 40]), st.integers(0, 3))
-def test_diameter_bounds_match_reference_eccentricities(machine, sample, seed):
+@given(_random_levels(), st.sampled_from([1, 16, 40]), st.integers(0, 3),
+       st.sampled_from([schreier._GATHER, 7]))
+def test_diameter_bounds_match_reference_eccentricities(machine, sample, seed, gather):
     # 1, 16 and 40 samples plus x^n run on 8-, 32- and 64-bit lanes
     M, n = machine
     G = build(M, n)
@@ -133,11 +151,12 @@ def test_diameter_bounds_match_reference_eccentricities(machine, sample, seed):
         rng = np.random.default_rng(seed)
         sources |= set(rng.integers(0, G.n_vertices, size=min(sample, G.n_vertices)).tolist())
     ecc = [_reference_eccentricity(G, v) for v in sorted(sources)]
-    if None in ecc:
-        with pytest.raises(ValueError, match="disconnected"):
-            diameter(G, "bound", sample, seed)
-    else:
-        assert diameter(G, "bound", sample, seed) == (max(ecc), 2 * ecc[0])
+    with mock.patch.object(schreier, "_GATHER", gather):
+        if None in ecc:
+            with pytest.raises(ValueError, match="disconnected"):
+                diameter(G, "bound", sample, seed)
+        else:
+            assert diameter(G, "bound", sample, seed) == (max(ecc), 2 * ecc[0])
 
 
 def test_diameter_bound_rejects_negative_sample():

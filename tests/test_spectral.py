@@ -14,7 +14,6 @@ from mealy.schreier import SchreierGraph, build
 from mealy.spectral import (
     DENSE_CAP,
     SPECTRAL_CAP,
-    adjacency,
     gap_series,
     spectrum,
     two_sided_gap,
@@ -22,6 +21,16 @@ from mealy.spectral import (
 
 B = builtin("bellaterra")
 A = builtin("aleshin")
+
+
+def adjacency(G):
+    """Dense (A + A^T)/2 of a level graph, A having one unit per state edge
+    v -> perm[v], built with numpy alone: no library matrix builder."""
+    nv = G.n_vertices
+    A = np.zeros((nv, nv))
+    for perm in G.perms:
+        np.add.at(A, (np.arange(nv), perm), 1)
+    return (A + A.T) / 2
 
 
 def _dense_extremes(M, n):
@@ -37,6 +46,11 @@ def test_adjacency_symmetric_and_regular():
     Adj = adjacency(build(B, 5))
     assert np.array_equal(Adj, Adj.T)
     assert np.all(Adj.sum(axis=0) == 3)  # one edge per generator, both ways
+    # the library's block builder, on 1x1 unit blocks, gives the same matrix
+    for M, n in ((B, 5), (A, 4), (builtin("affine(2,3)"), 3)):
+        G = build(M, n)
+        lib = spectral._sparse_adjacency(G.perms, np.ones((1, 1))).toarray()
+        assert np.array_equal(lib, adjacency(G))
 
 
 def test_level_one_spectrum_pinned():

@@ -16,13 +16,14 @@ series criterion can decide.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -242,6 +243,46 @@ def _raw_batch(q: int, a: int, start: int, end: int):
     return T.view(np.int8), O.view(np.int8)
 
 
+# readers of the .npy header versions that np.save writes
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _batch_fault(fh, width: int) -> str | None:
+    """Why the open .npy file fh is not a whole batch of key rows of width
+    uint64 words, judged by its header and its size; None if it is."""
+    shape, fortran, dtype = _NPY_HEADERS[np.lib.format.read_magic(fh)](fh)
+    if os.fstat(fh.fileno()).st_size != fh.tell() + prod(shape) * dtype.itemsize:
+        return "its size does not match its header"
+    if (dtype, shape[1:], fortran) != (np.dtype(np.uint64), (width,), False):
+        return f"{dtype} array of shape {shape}, not uint64 rows of {width} words"
+    return None
+
+
+def _cached_batch(path: str, width: int) -> np.ndarray | None:
+    """The keys of the batch saved at path, or None to compute it (again).
+
+    None when there is no file, and also, with a logged warning, when the
+    file is not a whole batch (see _batch_fault; a copy or a disk cut it
+    short) or its keys are not sorted and distinct.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "rb") as fh:
+            why = _batch_fault(fh, width)
+            keys = None if why else np.load(path)
+    except (KeyError, OSError, ValueError) as e:
+        why = f"unreadable ({e})"
+    if not why:
+        if np.array_equal(_unique_rows(keys), keys):
+            return keys
+        why = "its keys are not sorted and distinct"
+    logging.getLogger(__name__).warning(
+        "key-cache batch %s is damaged: %s; computing it again", path, why)
+    return None
+
+
 def table_space_size(q: int, a: int) -> int:
     if q < 1 or a < 1:
         raise ValueError(f"a census needs at least one state and one letter, not ({q},{a})")
@@ -265,7 +306,9 @@ def canonical_keys(
     the batch is sorted: a batch keeps the tables that are the least of
     their class (see _orbit_least), so its keys are distinct.  With
     cache_dir (default $MEALY_CACHE_DIR) each batch's keys are saved, and a
-    rerun loads them, so an interrupted run resumes where it stopped.
+    rerun loads them, so an interrupted run resumes where it stopped; a
+    saved batch that is cut short or not a batch of keys is computed again
+    and replaced (see _cached_batch).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
@@ -280,8 +323,9 @@ def canonical_keys(
         # older int64 keys, are never read back as keys
         path = cache_dir and os.path.join(
             cache_dir, f"canon-be8-{q}x{a}-{batch_size}-{lo // batch_size}.npy")
-        if path and os.path.exists(path):
-            parts.append(np.load(path))
+        # a key row holds the q*a cells of one table, eight to a uint64 word
+        if path and (keys := _cached_batch(path, -(-q * a // 8))) is not None:
+            parts.append(keys)
             continue
         n = min(batch_size, N - lo)
 

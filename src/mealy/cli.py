@@ -70,12 +70,14 @@ def _manifest(args: argparse.Namespace, started: float) -> dict:
     }
 
 
-def _write(path: str, text: str, args: argparse.Namespace, started: float) -> None:
-    """Write one output file, then the .manifest.json next to it."""
+def _write(path: str, text: str, args: argparse.Namespace, started: float,
+           extra: dict | None = None) -> None:
+    """Write one output file, then the .manifest.json next to it, with the
+    keys of extra added to the manifest."""
     with open(path, "w") as fh:
         fh.write(text)
     with open(path + ".manifest.json", "w") as fh:
-        fh.write(json.dumps(_manifest(args, started), indent=2) + "\n")
+        fh.write(json.dumps(_manifest(args, started) | (extra or {}), indent=2) + "\n")
 
 
 def _heights(heights) -> str:
@@ -165,12 +167,15 @@ def _cmd_gap(args, started):
     M = _load(args)
     reports = gap_series(M, args.from_, args.to)
     table = "".join(f"{line}\n" for line in [CSV_HEADER, *(r.csv_row() for r in reports)])
+    # how each level's fiber matrix was solved, and its certificate
+    levels = {"levels": [{"n": r.level, "route": r.route, "tolerance": r.tolerance,
+                          "residual": r.residual} for r in reports]}
     if args.csv:
-        _write(args.csv, table, args, started)
+        _write(args.csv, table, args, started, levels)
     if args.dat:
         # two-column n gap rows, gnuplot style; normalized gap
         _write(args.dat, "".join(f"{r.level} {r.gap_normalized:.10f}\n" for r in reports),
-               args, started)
+               args, started, levels)
     print(table, end="")
     return 0
 

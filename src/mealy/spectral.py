@@ -46,16 +46,33 @@ thread count is put back afterwards, also when the solve raises; so below
 that size a fiber's digits do not depend on the machine's core count.
 Larger fibers use scipy's default pool.  The count is set through scipy's
 OpenBLAS; with any other BLAS every fiber runs on that BLAS's default.
-Lanczos first asks for both extremes at once (k = 2, "BE") with at most
-_BE_RESTARTS restarts.  Where that gives up, as on fibers whose extremes
-crowd together (a cycle's within about 1/nv^2), the two extremes are
-solved one at a time ("SA", then "LA"), and every later level of the
-chain starts with that split.  Lanczos asks for a relative tolerance of
-1e-10, and the split of 1e-6 where that does not converge; the report's
-tolerance field says which, and SolverError names the level where neither
-does.  Every report carries the largest residual ||Sx - lambda x|| of the
-eigenpairs solved for it.  No graph above SPECTRAL_CAP vertices is
-solved: MemoryError instead, so no accepted size allocates gigabytes.
+Before Lanczos, an exact test looks for a sign symmetry.  Over two
+letters the fiber matrix S of bellaterra and div3 is, at every level
+above 1, similar to -S by J = [[0, I], [-I, 0]] over the halves of S's
+rows, which split by the top digit of the vertex, the last letter read:
+J = D Pi, Pi flipping that letter and D the sign (-1)^(top digit).  J S
+J^T = -S holds exactly when S = [[A, B], [B, -A]] with B = B^T, and
+_antisymmetric tests that on the quarter blocks of S in O(nnz); every
+entry is a multiple of 1/2, so the test has no rounding, and it
+certifies itself on any S, so no list of machines is kept.  Where it
+holds, the spectrum is symmetric, and one k = 1 Lanczos ("LA") on the
+operator x -> S(Sx) gives sigma^2 = lambda_max^2; then lambda_min =
+-sigma, the +sigma eigenvector is v + Sv/sigma (or J of the -sigma one,
+v - Sv/sigma, when that is longer), and J carries it to -sigma.  Both
+residuals are computed on S.  Where the test fails (aleshin, adding,
+bireversible52), or the solve on S^2 does not converge, Lanczos first
+asks for both extremes at once (k = 2, "BE") with at most _BE_RESTARTS
+restarts.  Where that gives up, as on fibers whose extremes crowd
+together (a cycle's within about 1/nv^2), the two extremes are solved
+one at a time ("SA", then "LA"), and every later level of the chain
+that takes this route starts with that split.  Lanczos asks for a
+relative tolerance of 1e-10, and the split of 1e-6 where that does not
+converge; the report's tolerance field says which, and SolverError
+names the level where neither does.  The report's route field names the
+route each level took.  Every report carries the largest residual
+||Sx - lambda x|| of the eigenpairs solved for it.  No graph above
+SPECTRAL_CAP vertices is solved: MemoryError instead, so no accepted size
+allocates gigabytes.
 """
 
 from __future__ import annotations
@@ -118,7 +135,11 @@ class SpectrumReport:
     matrix eigenpairs solved for this level (values carried from the level
     below keep that row's certificate).  new_radius is the fiber matrix's
     max |lambda|, the radius of the eigenvalues the lift added; it is NaN
-    only at level 0, the single vertex, which lifts nothing.
+    only at level 0, the single vertex, which lifts nothing.  route says
+    how the fiber matrix was solved: "dense", "joint" (one k=2 Lanczos),
+    "split" (one k=1 Lanczos per extreme) or "antisymmetric" (one Lanczos
+    on S^2; see _extremes).  The CSV row prints solver, "dense" or
+    "iterative", and not the route.
     """
 
     level: int
@@ -133,6 +154,7 @@ class SpectrumReport:
     disconnected: bool = False
     residual: float = float("nan")
     new_radius: float = float("nan")
+    route: str = "dense"
 
     def csv_row(self) -> str:
         return (
@@ -237,23 +259,29 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(x).sum(axis=0))
 
 
+def _start(n: int, warm: np.ndarray | None) -> np.ndarray:
+    """A Lanczos start vector of n rows: a seeded random vector, or, given
+    warm, the normalized warm plus 1e-3 times the normalized seeded
+    vector, which keeps every eigenvector's component nonzero."""
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if warm is not None:
+        v0 = warm / _norms(warm) + 1e-3 * v0 / _norms(v0)
+    return v0
+
+
 def _lanczos(S, split: bool, warm: np.ndarray | None):
     """Extreme eigenpairs of S by Lanczos.
 
-    Returns (vals, vecs, tolerance, split).  The start vector is a seeded
-    random vector, or, given warm, the normalized warm plus 1e-3 times the
-    normalized seeded vector, which keeps every eigenvector's component
-    nonzero.  Unless split is set, one eigsh(k=2, which="BE") runs with at
-    most _BE_RESTARTS restarts; when it gives up, or when split is set, two
-    k=1 solves ("SA", then "LA") run instead, at 1e-10 and then at 1e-6.
-    split in the result says whether the split ran.  SolverError when
-    neither tolerance converges.
+    Returns (vals, vecs, tolerance, split).  The start vector is
+    _start(warm).  Unless split is set, one eigsh(k=2, which="BE") runs
+    with at most _BE_RESTARTS restarts; when it gives up, or when split is
+    set, two k=1 solves ("SA", then "LA") run instead, at 1e-10 and then
+    at 1e-6.  split in the result says whether the split ran.  SolverError
+    when neither tolerance converges.
     """
     import scipy.sparse.linalg as spl
 
-    v0 = np.random.default_rng(0).standard_normal(S.shape[0])
-    if warm is not None:
-        v0 = warm / _norms(warm) + 1e-3 * v0 / _norms(v0)
+    v0 = _start(S.shape[0], warm)
     # S itself would reach ARPACK through aslinearoperator, whose matvec goes
     # through matmat and dot: 15.4 us a product on a 2,048-row div3 fiber,
     # against 12.0 us for this operator, with equal results
@@ -275,16 +303,68 @@ def _lanczos(S, split: bool, warm: np.ndarray | None):
     raise SolverError(f"Lanczos did not converge at tolerance {_FALLBACK_TOL:g}") from failure
 
 
+def _antisymmetric(S) -> bool:
+    """Whether J = [[0, I], [-I, 0]] over the halves of S's rows maps S to -S.
+
+    J S J^T = -S holds exactly when S = [[A, B], [B, -A]] with B = B^T,
+    which is tested on the quarter blocks in O(nnz).  Over two letters
+    every entry is a multiple of 1/2, so the test is exact.
+    """
+    n = S.shape[0]
+    if n % 2:
+        return False
+    m = n // 2
+    B = S[:m, m:]
+    return (S[:m, :m] + S[m:, m:]).count_nonzero() == 0 and (B - B.T).count_nonzero() == 0
+
+
+def _squared(S, warm: np.ndarray | None):
+    """Extreme eigenpairs of an S that J maps to -S (see _antisymmetric),
+    from one Lanczos solve on S^2.
+
+    The top eigenvalue sigma^2 of S^2 gives lambda_max = sigma and
+    lambda_min = -sigma.  Its eigenvector v splits into v + Sv/sigma, a
+    +sigma eigenvector, and v - Sv/sigma, a -sigma one; the longer of the
+    two is kept, and J carries it to the other sign, as J x = [x2, -x1].
+    Returns (vals, vecs) as _lanczos does, or None when the solve does not
+    converge at _LANCZOS_TOL or sigma is 0.
+    """
+    import scipy.sparse.linalg as spl
+
+    op = spl.LinearOperator(S.shape, matvec=lambda x: S @ (S @ x), dtype=S.dtype)
+    try:
+        (lam,), v = spl.eigsh(op, k=1, which="LA", tol=_LANCZOS_TOL, v0=_start(S.shape[0], warm))
+    except spl.ArpackNoConvergence:
+        return None
+    if not lam > 0:
+        return None
+    sigma = np.sqrt(lam)
+    v = v[:, 0]
+    Sv = S @ v / sigma
+    plus, minus = v + Sv, v - Sv
+    m = len(v) // 2
+    if _norms(plus) >= _norms(minus):
+        x = plus / _norms(plus)
+        pair = [np.concatenate([x[m:], -x[:m]]), x]
+    else:
+        x = minus / _norms(minus)
+        pair = [x, np.concatenate([x[m:], -x[:m]])]
+    return np.array([-sigma, sigma]), np.column_stack(pair)
+
+
 def _extremes(S, split: bool, warm: np.ndarray | None = None):
     """The smallest and the largest eigenvalue of the symmetric sparse S.
 
-    Returns (lo, hi, solver, tolerance, residual, split, vecs), the residual
-    being the larger ||Sx - lambda x|| of the two eigenpairs, split saying
-    whether Lanczos ran as two k=1 solves and vecs holding the eigenvectors
-    of lo and hi as columns.  Dense up to DENSE_CAP rows, one
-    scipy.linalg.eigh per extreme; Lanczos above it, started from warm when
-    given (see _lanczos); one BLAS thread below _ONE_THREAD_BELOW rows (see
-    _blas_threads).
+    Returns (lo, hi, solver, tolerance, residual, route, vecs), the
+    residual being the larger ||Sx - lambda x|| of the two eigenpairs,
+    computed on S, and vecs holding the eigenvectors of lo and hi as
+    columns.  route is "dense" up to DENSE_CAP rows, one scipy.linalg.eigh
+    per extreme.  Above it Lanczos runs, started from warm when given:
+    "antisymmetric" where _antisymmetric holds and the solve on S^2
+    converges (see _squared), and otherwise _lanczos, "joint" when its
+    k=2 solve converged and "split" when the extremes were solved one at
+    a time, which split asks for.  One BLAS thread below _ONE_THREAD_BELOW
+    rows (see _blas_threads).
     """
     nv = S.shape[0]
     with _blas_threads(nv):
@@ -294,14 +374,19 @@ def _extremes(S, split: bool, warm: np.ndarray | None = None):
             A = S.toarray()
             (lo, x), (hi, y) = (eigh(A, subset_by_index=[i, i]) for i in (0, nv - 1))
             vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
-            solver, tol = "dense", 1e-9
+            solver, tol, route = "dense", 1e-9, "dense"
         else:
-            vals, vecs, tol, split = _lanczos(S, split, warm)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
             solver = "iterative"
+            pairs = _antisymmetric(S) and _squared(S, warm)
+            if pairs:
+                (vals, vecs), tol, route = pairs, _LANCZOS_TOL, "antisymmetric"
+            else:
+                vals, vecs, tol, split = _lanczos(S, split, warm)
+                order = np.argsort(vals)
+                vals, vecs = vals[order], vecs[:, order]
+                route = "split" if split else "joint"
     residual = float(_norms(S @ vecs - vecs * vals).max())
-    return float(vals[0]), float(vals[1]), solver, tol, residual, split, vecs
+    return float(vals[0]), float(vals[1]), solver, tol, residual, route, vecs
 
 
 def _check_size(nv: int) -> None:
@@ -329,10 +414,11 @@ def _chain(P: np.ndarray, a: int, n: int):
         else:
             h = a**k
             try:
-                lo, hi, solver, tol, residual, split, vecs = _extremes(
+                lo, hi, solver, tol, residual, route, vecs = _extremes(
                     _fiber_matrix(P[:, :h] % h, a), split, warm)
             except SolverError as e:
                 raise SolverError(f"level {k}: {e}") from e
+            split = split or route == "split"
             warm = _pullback(vecs, a)
             # the fiber matrix sums |Q| orthogonal blocks, so rounding alone
             # can carry an extreme past the degree
@@ -342,7 +428,7 @@ def _chain(P: np.ndarray, a: int, n: int):
             gap = nq - max(lam2, -lam_min)
             # a second eigenvalue equal to the degree means a second component
             r = SpectrumReport(k, h, r.lam_max, lam2, lam_min, gap, gap / nq, solver, tol,
-                               (r.lam_max - lam2) < 1e-8 * nq, residual, max(hi, -lo))
+                               (r.lam_max - lam2) < 1e-8 * nq, residual, max(hi, -lo), route)
         yield r
 
 

@@ -274,6 +274,51 @@ def test_key_cache_ignores_int64_files(tmp_path, monkeypatch):
     assert (tmp_path / f"canon-be8-3x2-{1 << 20}-0.npy").exists()
 
 
+_BATCH = f"canon-be8-3x2-{1 << 20}-0.npy"
+
+
+def _damaged_batches(clean):
+    """Damaged copies of the clean (3,2) batch file: name -> bytes."""
+    keys = np.load(clean)
+    header = len(clean.read_bytes()) - keys.nbytes
+    shuffled = clean.read_bytes()[:header] + keys[::-1].tobytes()
+    return {
+        "truncated": clean.read_bytes()[: len(clean.read_bytes()) // 2],
+        "empty": b"",
+        "header only": clean.read_bytes()[:header],
+        "unsorted": shuffled,
+    }
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "header only", "unsorted"])
+def test_damaged_key_cache_batch_resumes(tmp_path, damage, caplog):
+    # a batch cut short on disk, or one whose keys are out of order, is
+    # computed again: the report is that of a clean run, and a whole batch
+    # replaces the damaged one
+    clean_dir, cache = tmp_path / "clean", tmp_path / "cache"
+    want = classify_cotransitive(3, 2, cache_dir=str(clean_dir)).to_json()
+    cache.mkdir()
+    (cache / _BATCH).write_bytes(_damaged_batches(clean_dir / _BATCH)[damage])
+    with caplog.at_level("WARNING", logger="mealy.classify"):
+        assert classify_cotransitive(3, 2, cache_dir=str(cache)).to_json() == want
+    assert "damaged" in caplog.text and _BATCH in caplog.text
+    assert [p.name for p in cache.iterdir()] == [_BATCH]
+    assert (cache / _BATCH).read_bytes() == (clean_dir / _BATCH).read_bytes()
+    assert classify._cached_batch(str(cache / _BATCH), 1) is not None
+
+
+def test_key_cache_batch_of_another_shape_is_recomputed(tmp_path, caplog):
+    # a whole .npy file whose dtype or width is not the key format's
+    want = canonical_keys(3, 2)
+    for arr in (want.astype(np.int64), np.hstack([want, want])):
+        np.save(tmp_path / _BATCH, arr)
+        with caplog.at_level("WARNING", logger="mealy.classify"):
+            assert (canonical_keys(3, 2, cache_dir=str(tmp_path)) == want).all()
+        assert "not uint64 rows of 1 words" in caplog.text
+        caplog.clear()
+        assert np.load(tmp_path / _BATCH).dtype == np.uint64
+
+
 def _whole_space_keys(q, a):
     return _unique_rows(_least_cells(*_raw_batch(q, a, 0, table_space_size(q, a)), q, a))
 

@@ -64,6 +64,26 @@ def test_gap_writes_csv_and_manifest(tmp_path, capsys):
     assert "wall_time_s" in man
 
 
+def test_gap_manifest_names_each_levels_route(tmp_path, capsys):
+    # bellaterra's fibers pass the antisymmetry check, aleshin's take the
+    # joint Lanczos solve; levels 6..8 (fibers of up to 128 rows) are dense
+    want = {"bellaterra": ["dense"] * 3 + ["antisymmetric"] * 4,
+            "aleshin": ["dense"] * 3 + ["joint"] * 4}
+    for name, routes in want.items():
+        csv, dat = tmp_path / f"{name}.csv", tmp_path / f"{name}.dat"
+        assert run(["gap", "--builtin", name, "--from", "6", "--to", "12",
+                    "--csv", str(csv), "--dat", str(dat)]) == 0
+        printed = capsys.readouterr().out
+        assert csv.read_text() == printed  # the CSV has no route column
+        for path in (csv, dat):
+            levels = json.loads(path.with_name(path.name + ".manifest.json").read_text())["levels"]
+            assert [lv["n"] for lv in levels] == list(range(6, 13))
+            assert [lv["route"] for lv in levels] == routes
+            assert all(set(lv) == {"n", "route", "tolerance", "residual"} for lv in levels)
+            assert all(lv["tolerance"] == (1e-9 if lv["route"] == "dense" else 1e-10)
+                       and 0 <= lv["residual"] < 1e-8 for lv in levels)
+
+
 def test_gap_dat_is_reproducible(tmp_path):
     # level 12 is lifted by a Lanczos solve, which starts from a fixed vector
     for lo, hi in (("2", "5"), ("9", "12")):

@@ -279,6 +279,9 @@ def test_lanczos_routes_agree_with_dense_fiber(name, be_gives_up, monkeypatch):
         return eigsh(S, **kw)
 
     monkeypatch.setattr(spl, "eigsh", counted)
+    # the BE/split route, which these fibers take only where the
+    # antisymmetry check fails or the solve on S^2 does not converge
+    monkeypatch.setattr(spectral, "_antisymmetric", lambda S: False)
     M, k = builtin(name), 11
     S = spectral._fiber_matrix(level_maps(M, k), 2)
     assert S.shape[0] == 1024
@@ -286,9 +289,9 @@ def test_lanczos_routes_agree_with_dense_fiber(name, be_gives_up, monkeypatch):
     # BE first (and the split after it where BE gives up), then the split alone
     for split, calls in ((False, ["BE"] + ["SA", "LA"] * be_gives_up), (True, ["SA", "LA"])):
         which.clear()
-        lo, hi, solver, tol, residual, used, vecs = spectral._extremes(S, split)
+        lo, hi, solver, tol, residual, route, vecs = spectral._extremes(S, split)
         assert vecs.shape == (1024, 2)
-        assert (which, used) == (calls, "SA" in calls)
+        assert (which, route) == (calls, "split" if "SA" in calls else "joint")
         assert (solver, tol) == ("iterative", 1e-10)
         assert residual < 1e-8
         assert lo == pytest.approx(want[0], abs=1e-9)
@@ -307,14 +310,20 @@ def test_warm_lanczos_finds_the_dense_extremes(name, monkeypatch):
     # extremes of dense eigvalsh of the same fiber matrix
     import scipy.linalg
 
-    solved, lanczos = [], spectral._lanczos
+    solved, lanczos, squared = [], spectral._lanczos, spectral._squared
 
     def recorded(S, split, warm=None):
         vals, vecs, tol, used = lanczos(S, split, warm)
         solved.append((S, warm is not None, vals))
         return vals, vecs, tol, used
 
+    def recorded_squared(S, warm):
+        pairs = squared(S, warm)
+        solved.append((S, warm is not None, pairs[0]))
+        return pairs
+
     monkeypatch.setattr(spectral, "_lanczos", recorded)
+    monkeypatch.setattr(spectral, "_squared", recorded_squared)
     monkeypatch.setattr(spectral, "DENSE_CAP", 16)
     M, top = builtin(name), _WARM_LEVELS.get(name, 11)
     gap_series(M, 0, top)
@@ -347,6 +356,8 @@ def _eigsh_outcomes(monkeypatch):
 
 
 def test_chain_pays_for_at_most_one_failed_joint_solve(monkeypatch):
+    # the BE/split route: bellaterra and div3 take it only as a fallback
+    monkeypatch.setattr(spectral, "_antisymmetric", lambda S: False)
     outcomes = _eigsh_outcomes(monkeypatch)
     gap_series(B, 6, 12)
     # bellaterra's extremes crowd from level 10: at most one BE gives up, no
@@ -361,30 +372,39 @@ def test_chain_pays_for_at_most_one_failed_joint_solve(monkeypatch):
 
 
 def test_warm_chains_save_lanczos_matvecs(monkeypatch):
-    # the graphs benchmark's chains: warm starts pulled back through the shift
-    # need at most 60% of the matvecs of cold starts with 50 BE restarts
-    eigsh, matvecs = spl.eigsh, [0]
+    # the graphs benchmark's chains: on the BE/split route, warm starts pulled
+    # back through the shift need at most 60% of the matrix-vector products
+    # with S of cold starts with 50 BE restarts; the solve on S^2 where the
+    # antisymmetry check holds needs fewer still (one step of it is two
+    # products with S)
+    fiber_matrix, products = spectral._fiber_matrix, [0]
 
-    def counted(S, **kw):
-        def matvec(x):
-            matvecs[0] += 1
-            return S @ x
+    def counted(P, a):
+        S = fiber_matrix(P, a)
 
-        return eigsh(spl.LinearOperator(S.shape, matvec=matvec, dtype=S.dtype), **kw)
+        class Counted(type(S)):
+            def __matmul__(self, x):
+                products[0] += np.ndim(x) == 1  # not the residual's block product
+                return super().__matmul__(x)
+
+        return Counted(S)
 
     def total():
-        matvecs[0] = 0
+        products[0] = 0
         for name, lo, hi in (("aleshin", 6, 12), ("bellaterra", 6, 12), ("div3", 6, 12),
                              ("div3", 14, 16)):
             gap_series(builtin(name), lo, hi)
-        return matvecs[0]
+        return products[0]
 
-    monkeypatch.setattr(spl, "eigsh", counted)
+    monkeypatch.setattr(spectral, "_fiber_matrix", counted)
+    antisymmetric = total()
+    monkeypatch.setattr(spectral, "_antisymmetric", lambda S: False)
     warm = total()
     monkeypatch.setattr(spectral, "_pullback", lambda vecs, a: None)
     monkeypatch.setattr(spectral, "_BE_RESTARTS", 50)
     cold = total()
     assert warm <= 0.6 * cold, (warm, cold)
+    assert antisymmetric < warm, (antisymmetric, warm)
 
 
 def test_spectrum_is_the_last_series_row():
@@ -396,7 +416,9 @@ def test_spectrum_is_the_last_series_row():
 def test_chain_never_calls_numpy_eigensolvers(monkeypatch):
     # one BLAS, scipy's: numpy's eigh, or a norm or product that reaches
     # numpy's bundled OpenBLAS, would wake a second BLAS thread pool
-    rows = [repr(dataclasses.astuple(r)) for r in gap_series(A, 0, 12)]
+    # aleshin takes the joint route, bellaterra and div3 the antisymmetric one
+    chains = [(A, 0, 12), (B, 0, 12), (builtin("div3"), 0, 14)]
+    rows = [[repr(dataclasses.astuple(r)) for r in gap_series(*c)] for c in chains]
 
     def forbidden(*args, **kw):
         raise AssertionError("numpy BLAS or LAPACK called")
@@ -404,9 +426,13 @@ def test_chain_never_calls_numpy_eigensolvers(monkeypatch):
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np.linalg, "norm"),
                          (np, "dot"), (np, "vdot"), (np, "inner")):
         monkeypatch.setattr(module, name, forbidden)
-    series = gap_series(A, 0, 12)
-    assert {r.solver for r in series} == {"dense", "iterative"}
-    assert [repr(dataclasses.astuple(r)) for r in series] == rows
+    routes = set()
+    for chain, want in zip(chains, rows):
+        series = gap_series(*chain)
+        assert {r.solver for r in series} == {"dense", "iterative"}
+        assert [repr(dataclasses.astuple(r)) for r in series] == want
+        routes |= {r.route for r in series}
+    assert routes == {"dense", "joint", "antisymmetric"}
 
 
 def test_spectral_cap_raises_before_building(monkeypatch):
@@ -467,7 +493,7 @@ def _log_solves(monkeypatch, threads):
     """Record (fiber rows, thread count in effect) at every dense and Lanczos solve."""
     import scipy.linalg
 
-    solves, eigh, lanczos = [], scipy.linalg.eigh, spectral._lanczos
+    solves, eigh, lanczos, squared = [], scipy.linalg.eigh, spectral._lanczos, spectral._squared
 
     def dense(A, **kw):
         solves.append((A.shape[0], threads()))
@@ -477,8 +503,13 @@ def _log_solves(monkeypatch, threads):
         solves.append((S.shape[0], threads()))
         return lanczos(S, split, warm)
 
+    def iterative_squared(S, warm):
+        solves.append((S.shape[0], threads()))
+        return squared(S, warm)
+
     monkeypatch.setattr(scipy.linalg, "eigh", dense)
     monkeypatch.setattr(spectral, "_lanczos", iterative)
+    monkeypatch.setattr(spectral, "_squared", iterative_squared)
     return solves
 
 
@@ -565,3 +596,111 @@ def test_digits_do_not_depend_on_numpys_blas_threads():
     finally:
         set_threads(before)
     assert len(rows[1]) == 6 and rows[1] == rows[2]
+
+
+def _record_extremes(monkeypatch):
+    """Record (S, lo, hi, route, residual, vecs) at every fiber solve."""
+    extremes, solved = spectral._extremes, []
+
+    def recorded(S, split, warm=None):
+        out = extremes(S, split, warm)
+        lo, hi, solver, tol, residual, route, vecs = out
+        solved.append((S, lo, hi, route, residual, vecs))
+        return out
+
+    monkeypatch.setattr(spectral, "_extremes", recorded)
+    return solved
+
+
+def test_quarter_block_check_holds_on_bellaterra_and_div3_only():
+    # every binary builtin, fibers of 2 to 2^12 rows (levels 2..13): the check
+    # holds at every level of bellaterra and div3, and at none of the others
+    for name in ("adding", "aleshin", "bellaterra", "bireversible52", "conjugator", "div3"):
+        P = level_maps(builtin(name), 13)
+        held = [spectral._antisymmetric(spectral._fiber_matrix(P[:, :2**k] % 2**k, 2))
+                for k in range(2, 14)]
+        assert held == [name in ("bellaterra", "div3")] * 12, name
+
+
+@pytest.mark.parametrize("name", ["bellaterra", "div3"])
+def test_antisymmetric_route_matches_dense_fibers(name, monkeypatch):
+    # fibers of 32 to 2^12 rows: the route runs exactly where the
+    # quarter-block check holds, and there lambda_min = -lambda_max matches
+    # dense eigvalsh of the same fiber matrix, with both pairs certified on S
+    import scipy.linalg
+
+    solved = _record_extremes(monkeypatch)
+    monkeypatch.setattr(spectral, "DENSE_CAP", 16)
+    gap_series(builtin(name), 0, 13)
+    assert [S.shape[0] for S, *_ in solved] == [2 ** (k - 1) for k in range(1, 14)]
+    assert [route for *_, route, _, _ in solved] == ["dense"] * 5 + ["antisymmetric"] * 8
+    for S, lo, hi, route, residual, vecs in solved[5:]:
+        assert lo == -hi
+        want = scipy.linalg.eigvalsh(S.toarray())
+        assert (lo, hi) == pytest.approx((want[0], want[-1]), abs=1e-9), S.shape[0]
+        pairs = _pair_residuals(S, vecs, (lo, hi))
+        assert all(r < 1e-8 for r in pairs), S.shape[0]
+        assert residual == pytest.approx(max(pairs), rel=1e-6), S.shape[0]
+
+
+def _pair_residuals(S, vecs, vals):
+    """||S x - lambda x|| of each column x of vecs, with numpy alone."""
+    return [float(np.sqrt(np.sum((S @ x - lam * x) ** 2))) for x, lam in zip(vecs.T, vals)]
+
+
+def test_perturbed_fiber_fails_the_check_and_takes_the_old_route(monkeypatch):
+    # one sign of B flipped, and its mirror, so S stays symmetric but B does
+    # not: the check fails, and the BE/split route finds the dense extremes
+    import scipy.linalg
+
+    eigsh, which = spl.eigsh, []
+
+    def counted(S, **kw):
+        which.append(kw["which"])
+        return eigsh(S, **kw)
+
+    S = spectral._fiber_matrix(level_maps(builtin("bellaterra"), 10), 2).tolil()
+    m = S.shape[0] // 2
+    i, j = next((i, j) for i, j in zip(*S[:m, m:].nonzero()) if i != j)
+    S[i, m + j] *= -1
+    S[m + j, i] *= -1
+    S = S.tocsr().sorted_indices()
+    assert (S != S.T).nnz == 0
+    assert not spectral._antisymmetric(S)
+    monkeypatch.setattr(spl, "eigsh", counted)
+    lo, hi, solver, tol, residual, route, vecs = spectral._extremes(S, False)
+    assert route in ("joint", "split") and which[0] == "BE"
+    want = scipy.linalg.eigvalsh(S.toarray())
+    assert (lo, hi) == pytest.approx((want[0], want[-1]), abs=1e-9)
+    assert residual < 1e-8
+
+
+def test_failed_squared_solve_falls_back_to_the_old_route(monkeypatch):
+    # a solve on S^2 that does not converge hands the fiber to BE/split, and
+    # the rows are those of a run with the check switched off
+    squared, eigsh, inside = spectral._squared, spl.eigsh, [False]
+
+    def flagged(S, warm):
+        inside[0] = True
+        try:
+            return squared(S, warm)
+        finally:
+            inside[0] = False
+
+    def fails_inside(S, **kw):
+        if inside[0]:
+            raise spl.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(S, **kw)
+
+    def rows():
+        return [repr(dataclasses.astuple(r)) for name in ("bellaterra", "div3")
+                for r in gap_series(builtin(name), 6, 12)]
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_antisymmetric", lambda S: False)
+        old = rows()
+    monkeypatch.setattr(spectral, "_squared", flagged)
+    monkeypatch.setattr(spl, "eigsh", fails_inside)
+    assert rows() == old
+    routes = [r.route for name in ("bellaterra", "div3") for r in gap_series(builtin(name), 9, 12)]
+    assert set(routes) <= {"joint", "split"} and "split" in routes

@@ -47,6 +47,9 @@ _COCYCLIC = Properties.__slots__.index("cocyclic")  # its column of _table_prope
 # fewer and longer numpy calls on each thread; 2^19 raised the census's
 # peak RSS by about 8 MB
 _CHUNK = 1 << 18
+# raw tables per key-pass batch, the unit of the key cache; its files are
+# named by it, so a new value would not load an existing cache
+_BATCH = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -289,18 +292,12 @@ def table_space_size(q: int, a: int) -> int:
     return (factorial(a) * q**a) ** q
 
 
-def canonical_keys(
-    q: int,
-    a: int,
-    batch_size: int = 1 << 20,
-    cache_dir: str | None = None,
-    jobs: int = 1,
-) -> np.ndarray:
+def canonical_keys(q: int, a: int, cache_dir: str | None = None, jobs: int = 1) -> np.ndarray:
     """All canonical class keys for invertible (q,a) tables, sorted.
 
     Row i is the least cell string of class i as _least_cells words;
-    _key_bytes turns it into the canonical_form key.  Each batch of raw
-    tables runs on levels._split as tables * q * a cells, in ranges of
+    _key_bytes turns it into the canonical_form key.  Each batch of _BATCH
+    raw tables runs on levels._split as tables * q * a cells, in ranges of
     shares of at most _CHUNK tables (at most jobs ranges).  A share is
     decoded straight into _cells columns by _raw_cells and filtered, and
     the batch is sorted: a batch keeps the tables that are the least of
@@ -312,22 +309,20 @@ def canonical_keys(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, not {jobs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, not {batch_size}")
     N = table_space_size(q, a)
     if cache_dir is None:
         cache_dir = os.environ.get("MEALY_CACHE_DIR")
     parts = []
-    for lo in range(0, N, batch_size):
+    for lo in range(0, N, _BATCH):
         # "be8" names the row format; files of another format, such as the
         # older int64 keys, are never read back as keys
         path = cache_dir and os.path.join(
-            cache_dir, f"canon-be8-{q}x{a}-{batch_size}-{lo // batch_size}.npy")
+            cache_dir, f"canon-be8-{q}x{a}-{_BATCH}-{lo // _BATCH}.npy")
         # a key row holds the q*a cells of one table, eight to a uint64 word
         if path and (keys := _cached_batch(path, -(-q * a // 8))) is not None:
             parts.append(keys)
             continue
-        n = min(batch_size, N - lo)
+        n = min(_BATCH, N - lo)
 
         def shares(i, j):
             return [_orbit_least(_raw_cells(q, a, s, min(lo + j, s + _CHUNK)), q, a)
@@ -363,7 +358,6 @@ def enumerate_classes(
     q: int,
     a: int,
     filters=(),
-    batch_size: int = 1 << 20,
     cache_dir: str | None = None,
     shard: tuple[int, int] | None = None,
     jobs: int = 1,
@@ -376,7 +370,7 @@ def enumerate_classes(
     shard=(i,k) keeps classes with index congruent to i mod k.  jobs is
     the thread count of the key pass (see canonical_keys).
     """
-    keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)
+    keys = canonical_keys(q, a, cache_dir=cache_dir, jobs=jobs)
     names, preds = _resolve_filters(filters)
     idx = _shard_rows(len(keys), shard)
     if names:
@@ -471,7 +465,6 @@ def classify_cotransitive(
     q: int,
     a: int,
     level_budget: int = 4,
-    batch_size: int = 1 << 20,
     cache_dir: str | None = None,
     shard: tuple[int, int] | None = None,
     jobs: int = 1,
@@ -486,7 +479,7 @@ def classify_cotransitive(
     conjugation.
     """
     rep = CensusReport(q, a, level_budget, shard=shard)
-    keys = canonical_keys(q, a, batch_size=batch_size, cache_dir=cache_dir, jobs=jobs)
+    keys = canonical_keys(q, a, cache_dir=cache_dir, jobs=jobs)
     idx = _shard_rows(len(keys), shard)
     T, O = _key_tables(keys[idx], q, a)
     flags = _table_properties(T, O)
@@ -548,7 +541,8 @@ def _raw_cocyclic_counts(q: int, a: int) -> tuple[int, int]:
 
 
 def merge_reports(reports: list[CensusReport]) -> CensusReport:
-    """Combine shard reports; deterministic regardless of shard layout."""
+    """Combine shard reports into the unsharded report, whatever the shard
+    layout; the witnesses go in class index order, as an unsharded run finds them."""
     if not reports:
         raise ValueError("nothing to merge")
     base = reports[0]
@@ -566,7 +560,7 @@ def merge_reports(reports: list[CensusReport]) -> CensusReport:
         for k, v in r.refutation_levels.items():
             out.refutation_levels[int(k)] = out.refutation_levels.get(int(k), 0) + v
         out.witnesses.extend(r.witnesses)
-    out.witnesses.sort(key=lambda w: w["name"])
+    out.witnesses.sort(key=lambda w: int(w["name"].rsplit("-", 1)[1]))
     # shards skip the cocyclic head count; the merged report covers the
     # whole space again, so recompute it here
     if (out.q, out.a) == (3, 2):

@@ -29,7 +29,7 @@ from .bellaterra import (
     wreath_table_check,
 )
 from .classify import classify_cotransitive, table_space_size
-from .levels import LEVEL_CAP, _levels, _oversize, is_single_cycle
+from .levels import _levels, _oversize, is_single_cycle
 from .schreier import WitnessNotFound, build, diameter, find_level_witness, steer_to
 from .spectral import CSV_HEADER, SolverError, gap_series
 from .transitivity import cotransitivity, first_intransitive_level
@@ -192,7 +192,7 @@ def _cmd_transitive(args, started):
         return 0
     # level 0 is one point, so the search fails first at level 1 or later;
     # _levels refuses --levels below 0 and stops at the level caps
-    for n, P in enumerate(_levels(M, args.levels, LEVEL_CAP)):
+    for n, P in enumerate(_levels(M, args.levels)):
         if not is_single_cycle(P[qi]):
             print(f"{args.state}: not transitive, first failing level {n} (orbit check)")
             return 0

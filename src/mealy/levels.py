@@ -158,7 +158,7 @@ def _oversize(shape: tuple[int, int], n: int, cap: int) -> str | None:
     return None
 
 
-def _levels(M: Automaton, n: int, cap: int):
+def _levels(M: Automaton, n: int):
     """Level maps for levels 0..min(n, top) in turn, each built from the one
     before, top being the highest level the caps allow; a search reads the
     level it reached from the last one yielded.
@@ -168,7 +168,7 @@ def _levels(M: Automaton, n: int, cap: int):
     """
     if n < 0:
         raise ValueError(f"level {n} is below 0")
-    top = _top_level(M.t.shape, n, cap)
+    top = _top_level(M.t.shape, n)
     dt = _dtype_for(M.n_letters**top)
     P = np.zeros((1, M.n_states, 1), dtype=dt)
     yield P[0]
@@ -204,30 +204,31 @@ def _level_step(o: np.ndarray, t: np.ndarray, P: np.ndarray) -> np.ndarray:
     return new
 
 
-def level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
+def level_maps(M: Automaton, n: int) -> np.ndarray:
     """Array L with L[q][v] = index of act(q, word v) on level n.
 
     Works for non-invertible automata too (rows are then not permutations).
-    Shape (|Q|, a^n).
+    Shape (|Q|, a^n).  MemoryError, before anything is built, above
+    LEVEL_CAP points a row or ARRAY_CAP entries in all.
     """
-    if why := _oversize(M.t.shape, n, cap):
+    if why := _oversize(M.t.shape, n, LEVEL_CAP):
         raise MemoryError(why)
-    for P in _levels(M, n, cap):
+    for P in _levels(M, n):
         pass
     return P
 
 
-def all_level_maps(M: Automaton, n: int, cap: int = LEVEL_CAP) -> list[np.ndarray]:
+def all_level_maps(M: Automaton, n: int) -> list[np.ndarray]:
     """level_maps for every level 0..n, cheapest-first (one recursion pass)."""
-    if why := _oversize(M.t.shape, n, cap):
+    if why := _oversize(M.t.shape, n, LEVEL_CAP):
         raise MemoryError(why)
-    return list(_levels(M, n, cap))
+    return list(_levels(M, n))
 
 
-def _top_level(shape: tuple[int, int], n: int, cap: int) -> int:
+def _top_level(shape: tuple[int, int], n: int) -> int:
     """The highest level up to n that _oversize lets a search build."""
     top = 0
-    while top < n and not _oversize(shape, top + 1, cap):
+    while top < n and not _oversize(shape, top + 1, LEVEL_CAP):
         top += 1
     return top
 
@@ -240,13 +241,13 @@ def _refute_dual(T: np.ndarray, O: np.ndarray, budget: int) -> np.ndarray:
     q * P[i, O[i, s, x]] (_level_step on the swapped tables).  Tables with a
     state alive go on to the next level, in chunks of at most ARRAY_CAP
     level entries, up to the highest level the caps allow,
-    _top_level((|A|, |Q|), budget, LEVEL_CAP); a state alive there stays 0,
+    _top_level((|A|, |Q|), budget); a state alive there stays 0,
     and a refutation below it stands.
     """
     m, q, a = T.shape
     if budget < 0:
         raise ValueError(f"level {budget} is below 0")
-    top = _top_level((a, q), budget, LEVEL_CAP)
+    top = _top_level((a, q), budget)
     dt = _dtype_for(q**top)
     o = np.asarray(T, dtype=dt).transpose(0, 2, 1)
     t = np.asarray(O, dtype=np.intp).transpose(0, 2, 1)
@@ -277,14 +278,14 @@ def invert_perm(p: np.ndarray) -> np.ndarray:
     return inv
 
 
-def level_permutation(M: Automaton, w, n: int, cap: int = LEVEL_CAP) -> np.ndarray:
+def level_permutation(M: Automaton, w, n: int) -> np.ndarray:
     """The permutation of {0..a^n - 1} induced by the group word w.
 
     Consistent with act on every word of length n; inverse letters require
     an invertible automaton.
     """
     rows = _rows(M, w)  # rows from |Q| on are inverse states
-    P = level_maps(M, n, cap=cap)
+    P = level_maps(M, n)
     nq, size = P.shape
     v = np.arange(size, dtype=P.dtype)
     inv_cache: dict[int, np.ndarray] = {}

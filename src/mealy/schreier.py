@@ -16,10 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .automaton import Automaton, _rows, _run, act, group_section
-from .levels import LEVEL_CAP, _digits, invert_perm, level_maps, word_index
+from .levels import _digits, invert_perm, level_maps, word_index
 from .words import GroupWord
 
 EXACT_DIAMETER_CAP = 1 << 14
+_SAMPLE = 16  # seeded random BFS sources of diameter's bound mode, beside x^n
+_LOOKAHEAD = 16  # B of find_level_witness: its images are words of length n + B
 
 
 class SchreierGraph:
@@ -37,12 +39,11 @@ class SchreierGraph:
         return f"<SchreierGraph n={self.n}, {self.n_vertices} vertices, {len(self.perms)} generators>"
 
 
-def build(M: Automaton, n: int, cap: int = LEVEL_CAP) -> SchreierGraph:
+def build(M: Automaton, n: int) -> SchreierGraph:
     """Construct the level-n Schreier graph (per-state permutation arrays)."""
     if not M.is_invertible():
         raise ValueError("Schreier graphs need an invertible automaton")
-    P = level_maps(M, n, cap=cap)
-    return SchreierGraph(M, n, P)
+    return SchreierGraph(M, n, level_maps(M, n))
 
 
 def _generator_rows(G: SchreierGraph) -> list[np.ndarray]:
@@ -102,12 +103,12 @@ def _bfs_pass(rows: list[np.ndarray], sources) -> int:
     return depth
 
 
-def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int = 0):
+def diameter(G: SchreierGraph, mode: str = "exact", seed: int = 0):
     """Exact diameter or (lower, upper) bounds.
 
     Exact: a bit-parallel all-pairs BFS, 64 sources per machine word, for
     graphs of up to EXACT_DIAMETER_CAP vertices (MemoryError above it).
-    Bounds: lower = max eccentricity over x^n (vertex 0) and up to `sample`
+    Bounds: lower = max eccentricity over x^n (vertex 0) and up to _SAMPLE
     seeded random vertices, in one pass; upper = twice the eccentricity of
     x^n, by the triangle inequality through x^n.
     """
@@ -120,12 +121,8 @@ def diameter(G: SchreierGraph, mode: str = "exact", sample: int = 16, seed: int 
                    for s in range(0, nv, _PASS_SOURCES))
     if mode != "bound":
         raise ValueError("mode must be 'exact' or 'bound'")
-    if sample < 0:
-        raise ValueError(f"sample must be at least 0, not {sample}")
     rng = np.random.default_rng(seed)
-    sources = {0}
-    if nv > 1:
-        sources |= {int(v) for v in rng.integers(0, nv, size=min(sample, nv))}
+    sources = {0} | {int(v) for v in rng.integers(0, nv, size=min(_SAMPLE, nv))}
     rows = _generator_rows(G)
     return (_bfs_pass(rows, sorted(sources)), 2 * _bfs_pass(rows, [0]))
 
@@ -182,10 +179,14 @@ def ball_size(M: Automaton, x: str, r: int, L: int | None = None) -> int:
 
     The walk is implicit (no graph is materialized); L defaults to 2r.  The
     count is nondecreasing in both r and L and lower-bounds the ball of the
-    boundary action around x x x ...
+    boundary action around x x x ...  ValueError for r or L below 0.
     """
+    if r < 0:
+        raise ValueError(f"radius {r} is below 0")
     if L is None:
         L = max(2 * r, 1)
+    elif L < 0:
+        raise ValueError(f"word length {L} is below 0")
     if not M.is_invertible():
         raise ValueError("ball_size works in the group generated by the states")
     return sum(1 for _ in _word_bfs(M, x, L, r))
@@ -201,9 +202,7 @@ class WitnessNotFound(Exception):
         self.budget = budget
 
 
-def find_level_witness(
-    M: Automaton, x: str, n: int, budget: int, lookahead: int = 16
-) -> GroupWord:
+def find_level_witness(M: Automaton, x: str, n: int, budget: int) -> GroupWord:
     """A group word u fixing x^n but moving the infinite word x x x ...
 
     BFS over images of x^{n+B} under generator words of length <= budget.
@@ -227,7 +226,7 @@ def find_level_witness(
     mod = M.n_letters**n
     words: dict[int, tuple] = {}  # image -> letter tuple, rightmost first
     by_prefix: dict[int, int] = {}
-    for u, parent, letter in _word_bfs(M, x, n + lookahead, budget):
+    for u, parent, letter in _word_bfs(M, x, n + _LOOKAHEAD, budget):
         words[u] = () if parent is None else words[parent] + (letter,)
         other = by_prefix.setdefault(u % mod, u)
         if other != u:
@@ -384,8 +383,10 @@ def verify_lift(M: Automaton, n: int) -> LiftReport:
     Level k+1 actions are recomputed by direct per-word transducer walks and
     compared against the projection law act(q, eps v) = sigma_q(eps) .
     act(q^eps, v); for binary automata with clean 2-lift rules the rules are
-    extracted and returned.
+    extracted and returned.  ValueError for n below 0.
     """
+    if n < 0:
+        raise ValueError(f"level {n} is below 0")
     a = M.n_letters
     by_walk: list[np.ndarray] = [np.zeros((M.n_states, 1), dtype=np.int64)]
     for k in range(1, n + 1):

@@ -139,7 +139,7 @@ class SpectrumReport:
     how the fiber matrix was solved: "dense", "joint" (one k=2 Lanczos),
     "split" (one k=1 Lanczos per extreme) or "antisymmetric" (one Lanczos
     on S^2; see _extremes).  The CSV row prints solver, "dense" or
-    "iterative", and not the route.
+    "iterative", read off the route.
     """
 
     level: int
@@ -149,12 +149,15 @@ class SpectrumReport:
     lam_min: float
     gap: float
     gap_normalized: float
-    solver: str
     tolerance: float
     disconnected: bool = False
     residual: float = float("nan")
     new_radius: float = float("nan")
     route: str = "dense"
+
+    @property
+    def solver(self) -> str:
+        return "dense" if self.route == "dense" else "iterative"
 
     def csv_row(self) -> str:
         return (
@@ -355,7 +358,7 @@ def _squared(S, warm: np.ndarray | None):
 def _extremes(S, split: bool, warm: np.ndarray | None = None):
     """The smallest and the largest eigenvalue of the symmetric sparse S.
 
-    Returns (lo, hi, solver, tolerance, residual, route, vecs), the
+    Returns (lo, hi, tolerance, residual, route, vecs), the
     residual being the larger ||Sx - lambda x|| of the two eigenpairs,
     computed on S, and vecs holding the eigenvectors of lo and hi as
     columns.  route is "dense" up to DENSE_CAP rows, one scipy.linalg.eigh
@@ -374,9 +377,8 @@ def _extremes(S, split: bool, warm: np.ndarray | None = None):
             A = S.toarray()
             (lo, x), (hi, y) = (eigh(A, subset_by_index=[i, i]) for i in (0, nv - 1))
             vals, vecs = np.concatenate([lo, hi]), np.hstack([x, y])
-            solver, tol, route = "dense", 1e-9, "dense"
+            tol, route = 1e-9, "dense"
         else:
-            solver = "iterative"
             pairs = _antisymmetric(S) and _squared(S, warm)
             if pairs:
                 (vals, vecs), tol, route = pairs, _LANCZOS_TOL, "antisymmetric"
@@ -386,7 +388,7 @@ def _extremes(S, split: bool, warm: np.ndarray | None = None):
                 vals, vecs = vals[order], vecs[:, order]
                 route = "split" if split else "joint"
     residual = float(_norms(S @ vecs - vecs * vals).max())
-    return float(vals[0]), float(vals[1]), solver, tol, residual, route, vecs
+    return float(vals[0]), float(vals[1]), tol, residual, route, vecs
 
 
 def _check_size(nv: int) -> None:
@@ -405,8 +407,7 @@ def _chain(P: np.ndarray, a: int, n: int):
     """
     nq, split, warm = len(P), False, None
     # single vertex: no lambda_2; the gap is reported as the 2|Q| sentinel
-    r = SpectrumReport(0, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, "dense", 0.0,
-                       residual=0.0)
+    r = SpectrumReport(0, 1, float(nq), float("nan"), float(nq), 2.0 * nq, 2.0, 0.0, residual=0.0)
     yield r
     for k in range(1, n + 1):
         if a == 1:  # a one-sheeted cover is the same graph
@@ -414,7 +415,7 @@ def _chain(P: np.ndarray, a: int, n: int):
         else:
             h = a**k
             try:
-                lo, hi, solver, tol, residual, route, vecs = _extremes(
+                lo, hi, tol, residual, route, vecs = _extremes(
                     _fiber_matrix(P[:, :h] % h, a), split, warm)
             except SolverError as e:
                 raise SolverError(f"level {k}: {e}") from e
@@ -427,7 +428,7 @@ def _chain(P: np.ndarray, a: int, n: int):
             lam2, lam_min = float(np.fmax(r.lam2, hi)), min(r.lam_min, lo)
             gap = nq - max(lam2, -lam_min)
             # a second eigenvalue equal to the degree means a second component
-            r = SpectrumReport(k, h, r.lam_max, lam2, lam_min, gap, gap / nq, solver, tol,
+            r = SpectrumReport(k, h, r.lam_max, lam2, lam_min, gap, gap / nq, tol,
                                (r.lam_max - lam2) < 1e-8 * nq, residual, max(hi, -lo), route)
         yield r
 

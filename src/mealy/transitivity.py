@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .automaton import Automaton, _least_full_cycle, _row_pass, dual, properties
-from .levels import LEVEL_CAP, _refute_dual, _top_level, _walk, index_word, level_permutation
+from .levels import _refute_dual, _top_level, _walk, index_word, level_permutation
 from .ratfunc import RationalSeries, solve_linear
 from .schreier import first_divergence
 
@@ -58,7 +58,6 @@ def orbits_on_level(
     w,
     n: int,
     subset: Callable[[tuple[str, ...]], bool] | None = None,
-    cap: int = LEVEL_CAP,
 ) -> OrbitReport:
     """Exact orbit decomposition of the group word w acting on level n.
 
@@ -67,7 +66,7 @@ def orbits_on_level(
     subset (a cycle that leaves the subset is still reported in full, and
     transitivity then fails).
     """
-    perm = level_permutation(M, w, n, cap=cap)
+    perm = level_permutation(M, w, n)
     size = len(perm)
     if subset is None:
         domain = range(size)
@@ -245,7 +244,7 @@ def cotransitivity(M: Automaton, level_budget: int = 4) -> Verdict:
     evidence = {M.alphabet[x]: n for n, x in sorted((n, x) for x, n in enumerate(fail) if n)}
     if all(fail):
         return Verdict("no", level=max(fail), evidence={"first_bad_level": evidence, "exact": False})
-    top = _top_level(M.t.shape[::-1], level_budget, LEVEL_CAP)
+    top = _top_level(M.t.shape[::-1], level_budget)
     evidence = {"surviving_states": [M.alphabet[x] for x, n in enumerate(fail) if not n],
                 "first_bad_level": evidence}
     if top < level_budget:

@@ -1,8 +1,11 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import mealy
+from mealy.classify import canonical_keys
+from mealy.levels import all_level_maps, level_maps, level_permutation
 
 PUBLIC = [
     "Automaton", "CensusReport", "EventuallyPeriodicWord", "GroupWord", "SchreierGraph",
@@ -22,6 +25,28 @@ def test_public_api_pinned():
     for name in PUBLIC:
         assert hasattr(mealy, name), name
 
+
+
+def test_no_public_size_or_search_parameters():
+    # each limit is one module constant, read at call time, that a test
+    # patches; none is a parameter a caller could set
+    limits = {"cap", "batch_size", "lookahead", "sample"}
+    funcs = [getattr(mealy, name) for name in PUBLIC if callable(getattr(mealy, name))]
+    funcs += [level_maps, all_level_maps, level_permutation, canonical_keys]
+    found = [f"{f.__name__}({p})" for f in funcs for p in inspect.signature(f).parameters
+             if p in limits]
+    assert len(funcs) > 40 and found == []
+
+
+def test_only_levels_names_the_level_cap():
+    # the other modules go through levels' functions, which read LEVEL_CAP
+    namers = []
+    for path in sorted(Path(mealy.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "LEVEL_CAP" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+                namers.append(f"{path.name}:{getattr(node, 'lineno', '')}")
+    assert namers and all(n.startswith("levels.py:") for n in namers), namers
 
 
 def test_benchmark_harness_names_resolve():

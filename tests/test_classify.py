@@ -350,7 +350,8 @@ def test_jobs_clamped_to_cpus_and_slices(key_pass, monkeypatch):
         key_pass.ranges.clear()
         key_pass.shares.clear()
         key_pass.pool.submitted = 0
-        assert (canonical_keys(q, a, batch_size=batch, jobs=jobs) == want[q, a]).all()
+        monkeypatch.setattr(classify, "_BATCH", batch)
+        assert (canonical_keys(q, a, jobs=jobs) == want[q, a]).all()
         N = table_space_size(q, a)
         assert key_pass.ranges == [k] * -(-N // batch)
         assert key_pass.pool.submitted == (len(key_pass.ranges) * k if k > 1 else 0)
@@ -391,12 +392,6 @@ def test_jobs_below_one_rejected():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             canonical_keys(2, 2, jobs=jobs)
-
-
-def test_batch_size_below_one_rejected():
-    for batch_size in (0, -5):
-        with pytest.raises(ValueError, match="batch_size must be at least 1"):
-            canonical_keys(2, 2, batch_size=batch_size)
 
 
 def test_table_space_size():
@@ -487,6 +482,17 @@ def test_census_shard_merge_equals_full():
     assert merged.counts == full.counts
     assert merged.refutation_levels == full.refutation_levels
     assert [w["name"] for w in merged.witnesses] == [w["name"] for w in full.witnesses]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_merged_shards_give_the_unsharded_report(k):
+    # (2,4) has witnesses c24-576 and c24-1028: by name string the second
+    # would sort first
+    import json
+
+    full = json.loads(classify_cotransitive(2, 4, 2).to_json())
+    parts = [classify_cotransitive(2, 4, 2, shard=(i, k)) for i in range(k)]
+    assert json.loads(merge_reports(parts).to_json()) == full
 
 
 def test_merge_rejects_mismatched_parameters():

@@ -321,7 +321,7 @@ def test_transitive_stops_at_the_level_cap(tmp_path, monkeypatch, capsys):
     from mealy.automaton import builtin, dual
 
     # a cap of 5^4 points keeps the search cheap; the verdicts below it stand
-    monkeypatch.setattr(cli, "LEVEL_CAP", 5**4)
+    monkeypatch.setattr("mealy.levels.LEVEL_CAP", 5**4)
     d52, s3 = tmp_path / "d52.aut", tmp_path / "s3.aut"
     d52.write_text(dual(builtin("bireversible52")).to_text())
     s3.write_text(S3_MACHINE)

@@ -12,7 +12,6 @@ from mealy import levels
 from mealy.automaton import BUILTIN_NAMES, Automaton, act, builtin, dual
 from mealy.classify import _key_tables, canonical_keys
 from mealy.levels import (
-    LEVEL_CAP,
     WALK_CUTOFF,
     all_level_maps,
     has_spanning_orbit,
@@ -339,9 +338,10 @@ def test_cycle_checks_allocate_few_bytes_per_point():
         assert peak < 4 * len(p), check.__name__
 
 
-def test_cap_guard():
+def test_cap_guard(monkeypatch):
+    monkeypatch.setattr(levels, "LEVEL_CAP", 1 << 10)
     with pytest.raises(MemoryError):
-        level_maps(B, 30, cap=1 << 10)
+        level_maps(B, 30)
 
 
 def test_huge_level_refused_before_sizing():
@@ -365,7 +365,7 @@ def test_array_cap_bounds_every_row_together(monkeypatch):
     with pytest.raises(MemoryError):
         all_level_maps(B, 9)
     # a search gets levels 0..8 and stops
-    got = [P.shape[1] for P in levels._levels(B, 12, LEVEL_CAP)]
+    got = [P.shape[1] for P in levels._levels(B, 12)]
     assert got == [2**k for k in range(9)]
 
 
@@ -373,11 +373,12 @@ def test_refused_level_builds_nothing(monkeypatch):
     calls = []
     step = levels._level_step
     monkeypatch.setattr(levels, "_level_step", lambda *args: calls.append(1) or step(*args))
+    monkeypatch.setattr(levels, "LEVEL_CAP", 1 << 8)
     for maps in (level_maps, all_level_maps):
         with pytest.raises(MemoryError, match=r"2\^9 exceeds cap 256"):
-            maps(B, 9, cap=1 << 8)
+            maps(B, 9)
     assert calls == []
-    assert level_maps(B, 8, cap=1 << 8).shape == (3, 256)
+    assert level_maps(B, 8).shape == (3, 256)
     assert len(calls) == 8
 
 

@@ -151,17 +151,13 @@ def test_diameter_bounds_match_reference_eccentricities(machine, sample, seed, g
         rng = np.random.default_rng(seed)
         sources |= set(rng.integers(0, G.n_vertices, size=min(sample, G.n_vertices)).tolist())
     ecc = [_reference_eccentricity(G, v) for v in sorted(sources)]
-    with mock.patch.object(schreier, "_GATHER", gather):
+    with mock.patch.object(schreier, "_GATHER", gather), \
+            mock.patch.object(schreier, "_SAMPLE", sample):
         if None in ecc:
             with pytest.raises(ValueError, match="disconnected"):
-                diameter(G, "bound", sample, seed)
+                diameter(G, "bound", seed)
         else:
-            assert diameter(G, "bound", sample, seed) == (max(ecc), 2 * ecc[0])
-
-
-def test_diameter_bound_rejects_negative_sample():
-    with pytest.raises(ValueError, match="sample"):
-        diameter(build(B, 3), "bound", sample=-1)
+            assert diameter(G, "bound", seed) == (max(ecc), 2 * ecc[0])
 
 
 def test_diameter_trivial_and_disconnected():
@@ -190,7 +186,8 @@ def test_exact_diameter_memory_at_cap():
 def test_diameter_bounds_sandwich_exact():
     for n in (5, 7):
         G = build(B, n)
-        lo, hi = diameter(G, "bound", sample=8, seed=3)
+        with mock.patch.object(schreier, "_SAMPLE", 8):
+            lo, hi = diameter(G, "bound", seed=3)
         assert lo <= diameter(G) <= hi
 
 
@@ -219,6 +216,15 @@ def test_find_level_witness_contract():
             assert act(M, u, "1" * n) == "1" * n
             d = first_divergence(M, u, "1")
             assert d is not None and d >= n
+
+
+def test_negative_sizes_refused():
+    for call, what in ((lambda: find_level_witness(B, "1", -1, 4), "level -1"),
+                       (lambda: verify_lift(B, -3), "level -3"),
+                       (lambda: ball_size(B, "1", -4), "radius -4"),
+                       (lambda: ball_size(B, "1", 2, L=-3), "length -3")):
+        with pytest.raises(ValueError, match=f"{what} is below 0"):
+            call()
 
 
 def test_find_level_witness_budget_failure():

@@ -229,7 +229,7 @@ def test_lanczos_output_repeats_exactly(monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_CAP", 16)
 
     def runs():
-        return [repr(dataclasses.astuple(r))
+        return [repr((*dataclasses.astuple(r), r.solver))
                 for r in [spectrum(build(A, 10)), *gap_series(A, 11, 12)]]
 
     first = runs()
@@ -289,10 +289,10 @@ def test_lanczos_routes_agree_with_dense_fiber(name, be_gives_up, monkeypatch):
     # BE first (and the split after it where BE gives up), then the split alone
     for split, calls in ((False, ["BE"] + ["SA", "LA"] * be_gives_up), (True, ["SA", "LA"])):
         which.clear()
-        lo, hi, solver, tol, residual, route, vecs = spectral._extremes(S, split)
+        lo, hi, tol, residual, route, vecs = spectral._extremes(S, split)
         assert vecs.shape == (1024, 2)
         assert (which, route) == (calls, "split" if "SA" in calls else "joint")
-        assert (solver, tol) == ("iterative", 1e-10)
+        assert tol == 1e-10
         assert residual < 1e-8
         assert lo == pytest.approx(want[0], abs=1e-9)
         assert hi == pytest.approx(want[1], abs=1e-9)
@@ -604,7 +604,7 @@ def _record_extremes(monkeypatch):
 
     def recorded(S, split, warm=None):
         out = extremes(S, split, warm)
-        lo, hi, solver, tol, residual, route, vecs = out
+        lo, hi, tol, residual, route, vecs = out
         solved.append((S, lo, hi, route, residual, vecs))
         return out
 
@@ -668,7 +668,7 @@ def test_perturbed_fiber_fails_the_check_and_takes_the_old_route(monkeypatch):
     assert (S != S.T).nnz == 0
     assert not spectral._antisymmetric(S)
     monkeypatch.setattr(spl, "eigsh", counted)
-    lo, hi, solver, tol, residual, route, vecs = spectral._extremes(S, False)
+    lo, hi, tol, residual, route, vecs = spectral._extremes(S, False)
     assert route in ("joint", "split") and which[0] == "BE"
     want = scipy.linalg.eigvalsh(S.toarray())
     assert (lo, hi) == pytest.approx((want[0], want[-1]), abs=1e-9)
